@@ -235,17 +235,18 @@ type Config struct {
 	//gcsvet:inert
 	WindowQuantiles bool
 
-	// Fault configures deterministic fault injection, executed only by
-	// System.ReplayWithFaults. The zero value injects nothing.
+	// Fault configures deterministic fault injection, executed by
+	// System.Replay. The zero value injects nothing. ReplayDuringRebuild
+	// scripts its own member loss and rejects a config that enables a plan.
 	Fault FaultPlan
 
 	// PowerLossAtMs, when > 0, cuts the whole array's power at this instant
 	// of simulated time: in-flight page programs tear (persisting garbage
 	// that fails its CRC32-C), in-flight requests are lost, and the run
 	// continues on a remounted array that must resync before (journal on)
-	// or while (journal off) serving the rest of the trace. Executed only by
-	// ReplayWithPowerLoss; <= 0 leaves every other entry point untouched so
-	// default runs stay byte-identical.
+	// or while (journal off) serving the rest of the trace. System.Replay
+	// executes the cut and the remount; ReplayDuringRebuild rejects it.
+	// <= 0 leaves every run untouched so default runs stay byte-identical.
 	//gcsvet:inert
 	PowerLossAtMs float64
 	// IntentJournal arms the write-ahead dirty-stripe intent journal for
@@ -254,7 +255,8 @@ type Config struct {
 	// stripes that were actually open at the cut. Off, the remount must
 	// full-scrub the array to find torn stripes — the window of
 	// vulnerability the journal closes. Only consulted when PowerLossAtMs is
-	// set.
+	// set (Replay then arms the journal in both modes: the crash harvest
+	// needs its ground truth even when recovery may not use it).
 	//gcsvet:inert
 	IntentJournal bool
 	// ResyncMBps caps the post-crash resync read bandwidth (MB/s). <= 0
@@ -458,6 +460,19 @@ func (c Config) Capacity() int64 {
 		DiskPages: c.diskPages(),
 	}
 	return int64(lay.LogicalPages()) * int64(c.Flash.PageSize)
+}
+
+// deviceConfig is the ssd.Config of every SSD the system builds: the
+// members, the dedicated spare, and fault-plan replacements.
+func (c Config) deviceConfig() ssd.Config {
+	return ssd.Config{
+		Geometry:        c.Flash,
+		Latency:         c.Latency,
+		GCLowWater:      c.GCLowWater,
+		GCHighWater:     c.GCHighWater,
+		ForcedGCVictims: c.ForcedGCVictims,
+		GCOverhead:      sim.Time(c.GCOverheadMs * float64(sim.Millisecond)),
+	}
 }
 
 // unitPages is the stripe unit in pages.

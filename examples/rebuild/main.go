@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		reb, err := rebSys.ReplayWithFaults(tr)
+		reb, err := rebSys.Replay(tr)
 		if err != nil {
 			log.Fatal(err)
 		}

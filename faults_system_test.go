@@ -11,7 +11,9 @@ func faultConfig(scheme Scheme, plan FaultPlan) Config {
 	return cfg
 }
 
-func replayWithFaults(t *testing.T, cfg Config, wl string, reqs int) (*System, *Results) {
+// replayWorkload builds a System from cfg and replays reqs requests of
+// the wl profile through Replay, which executes the config's fault plan.
+func replayWorkload(t *testing.T, cfg Config, wl string, reqs int) (*System, *Results) {
 	t.Helper()
 	sys, err := New(cfg)
 	if err != nil {
@@ -21,7 +23,7 @@ func replayWithFaults(t *testing.T, cfg Config, wl string, reqs int) (*System, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ReplayWithFaults(tr)
+	res, err := sys.Replay(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,52 +48,98 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
-func TestReplayWithFaultsLifecycle(t *testing.T) {
-	cfg := faultConfig(SchemeLGC, FaultPlan{
-		Failures:      []DiskFault{{Disk: 2, AtMs: 100}},
-		RepairDelayMs: 20,
-		RebuildMBps:   100,
-		RebuildTarget: RebuildToSpare,
-	})
-	sys, res := replayWithFaults(t, cfg, "Fin1", 1500)
-	f := res.Fault
-	if !f.Injected {
-		t.Fatal("fault stats not marked Injected")
-	}
-	if f.Failures != 1 || f.ArrayFailures != 0 || f.Rebuilds != 1 {
-		t.Fatalf("fault stats = %+v, want 1 absorbed failure and 1 rebuild", f)
-	}
-	if sys.arr.Degraded() {
-		t.Fatal("array still degraded after automatic repair")
-	}
-	if f.WindowOfVulnerability <= 0 || f.RebuildTime <= 0 || f.RebuildTime > f.WindowOfVulnerability {
-		t.Fatalf("WOV %v / rebuild %v inconsistent", f.WindowOfVulnerability, f.RebuildTime)
-	}
-	if f.DegradedLatency.Count == 0 {
-		t.Fatal("no degraded-mode requests recorded despite a mid-trace failure")
-	}
-	if f.DegradedLatency.Count >= res.Latency.Count {
-		t.Fatal("every request counted as degraded despite repair mid-trace")
-	}
-	if f.DataLossEvents != 0 {
-		t.Fatalf("data loss %d reported without UREs or a second failure", f.DataLossEvents)
-	}
-}
-
-func TestReplayWithFaultsSurfacesUREs(t *testing.T) {
-	cfg := faultConfig(SchemeLGC, FaultPlan{UREPerPageRead: 2e-3})
-	sys, res := replayWithFaults(t, cfg, "HPC_R", 1500)
-	f := res.Fault
-	if f.UREs == 0 {
-		t.Fatal("no latent sector errors surfaced at a 2e-3/page rate")
-	}
-	// A healthy RAID5 repairs every URE from parity: the reads degrade but
-	// nothing is lost.
-	if f.URERepaired != f.UREs || f.DataLossEvents != 0 {
-		t.Fatalf("UREs=%d repaired=%d loss=%d, want all repaired", f.UREs, f.URERepaired, f.DataLossEvents)
-	}
-	if sys.arr.Stats().DegradedReads == 0 {
-		t.Fatal("URE repairs did not register as degraded reads")
+// TestReplayFaultPlan runs fault plans through Replay and checks what
+// each plan must leave in Results.Fault and the array.
+func TestReplayFaultPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		wl    string
+		check func(t *testing.T, sys *System, res *Results)
+	}{
+		{
+			name: "lifecycle",
+			cfg: faultConfig(SchemeLGC, FaultPlan{
+				Failures:      []DiskFault{{Disk: 2, AtMs: 100}},
+				RepairDelayMs: 20,
+				RebuildMBps:   100,
+				RebuildTarget: RebuildToSpare,
+			}),
+			wl: "Fin1",
+			check: func(t *testing.T, sys *System, res *Results) {
+				f := res.Fault
+				if !f.Injected {
+					t.Fatal("fault stats not marked Injected")
+				}
+				if f.Failures != 1 || f.ArrayFailures != 0 || f.Rebuilds != 1 {
+					t.Fatalf("fault stats = %+v, want 1 absorbed failure and 1 rebuild", f)
+				}
+				if sys.arr.Degraded() {
+					t.Fatal("array still degraded after automatic repair")
+				}
+				if f.WindowOfVulnerability <= 0 || f.RebuildTime <= 0 || f.RebuildTime > f.WindowOfVulnerability {
+					t.Fatalf("WOV %v / rebuild %v inconsistent", f.WindowOfVulnerability, f.RebuildTime)
+				}
+				if f.DegradedLatency.Count == 0 {
+					t.Fatal("no degraded-mode requests recorded despite a mid-trace failure")
+				}
+				if f.DegradedLatency.Count >= res.Latency.Count {
+					t.Fatal("every request counted as degraded despite repair mid-trace")
+				}
+				if f.DataLossEvents != 0 {
+					t.Fatalf("data loss %d reported without UREs or a second failure", f.DataLossEvents)
+				}
+			},
+		},
+		{
+			name: "surfaces-UREs",
+			cfg:  faultConfig(SchemeLGC, FaultPlan{UREPerPageRead: 2e-3}),
+			wl:   "HPC_R",
+			check: func(t *testing.T, sys *System, res *Results) {
+				f := res.Fault
+				if f.UREs == 0 {
+					t.Fatal("no latent sector errors surfaced at a 2e-3/page rate")
+				}
+				// A healthy RAID5 repairs every URE from parity: the reads
+				// degrade but nothing is lost.
+				if f.URERepaired != f.UREs || f.DataLossEvents != 0 {
+					t.Fatalf("UREs=%d repaired=%d loss=%d, want all repaired", f.UREs, f.URERepaired, f.DataLossEvents)
+				}
+				if sys.arr.Stats().DegradedReads == 0 {
+					t.Fatal("URE repairs did not register as degraded reads")
+				}
+			},
+		},
+		{
+			name: "deterministic",
+			cfg: func() Config {
+				cfg := faultConfig(SchemeSteering, FaultPlan{
+					Failures:       []DiskFault{{Disk: 2, AtMs: 150}},
+					Slowdowns:      []DiskSlowdown{{Disk: 0, Channel: -1, StartMs: 0, DurationMs: 400, ExtraPerOpUs: 30}},
+					UREPerPageRead: 1e-4,
+					RepairDelayMs:  20,
+					RebuildMBps:    100,
+					RebuildTarget:  RebuildToSpare,
+				})
+				cfg.Staging = StagingDedicated
+				return cfg
+			}(),
+			wl: "prxy_0",
+			check: func(t *testing.T, sys *System, a *Results) {
+				_, b := replayWorkload(t, sys.cfg, "prxy_0", 1500)
+				if a.Latency != b.Latency || a.Fault != b.Fault {
+					t.Fatalf("fixed-seed fault runs diverged:\n%+v\n%+v", a.Fault, b.Fault)
+				}
+				if a.Fault.WindowOfVulnerability <= 0 {
+					t.Fatal("no vulnerability window measured")
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, res := replayWorkload(t, tc.cfg, tc.wl, 1500)
+			tc.check(t, sys, res)
+		})
 	}
 }
 
@@ -111,7 +159,7 @@ func TestDoubleFaultRAID6MidRebuild(t *testing.T) {
 	})
 	cfg.Level = RAID6
 	cfg.Disks = 6
-	sys, res := replayWithFaults(t, cfg, "Fin1", 1500)
+	sys, res := replayWorkload(t, cfg, "Fin1", 1500)
 	f := res.Fault
 	if f.Failures != 2 || f.ArrayFailures != 0 {
 		t.Fatalf("fault stats = %+v, want both failures absorbed", f)
@@ -143,7 +191,7 @@ func TestDoubleFaultRAID5ReportsDataLoss(t *testing.T) {
 		RebuildMBps:   2, // far too slow to finish before the second loss
 		RebuildTarget: RebuildToSpare,
 	})
-	_, res := replayWithFaults(t, cfg, "Fin1", 1500)
+	_, res := replayWorkload(t, cfg, "Fin1", 1500)
 	f := res.Fault
 	if f.Failures != 1 || f.ArrayFailures != 1 {
 		t.Fatalf("fault stats = %+v, want 1 absorbed + 1 array failure", f)
@@ -158,29 +206,6 @@ func TestDoubleFaultRAID5ReportsDataLoss(t *testing.T) {
 	}
 	if res.Latency.Count == 0 {
 		t.Fatal("run did not complete the trace after the array failure")
-	}
-}
-
-func TestReplayWithFaultsDeterministic(t *testing.T) {
-	run := func() *Results {
-		cfg := faultConfig(SchemeSteering, FaultPlan{
-			Failures:       []DiskFault{{Disk: 2, AtMs: 150}},
-			Slowdowns:      []DiskSlowdown{{Disk: 0, Channel: -1, StartMs: 0, DurationMs: 400, ExtraPerOpUs: 30}},
-			UREPerPageRead: 1e-4,
-			RepairDelayMs:  20,
-			RebuildMBps:    100,
-			RebuildTarget:  RebuildToSpare,
-		})
-		cfg.Staging = StagingDedicated
-		_, res := replayWithFaults(t, cfg, "prxy_0", 1500)
-		return res
-	}
-	a, b := run(), run()
-	if a.Latency != b.Latency || a.Fault != b.Fault {
-		t.Fatalf("fixed-seed fault runs diverged:\n%+v\n%+v", a.Fault, b.Fault)
-	}
-	if a.Fault.WindowOfVulnerability <= 0 {
-		t.Fatal("no vulnerability window measured")
 	}
 }
 
@@ -210,7 +235,7 @@ func TestSlowdownStretchesLatency(t *testing.T) {
 		cfg.Fault = FaultPlan{Slowdowns: []DiskSlowdown{
 			{Disk: 0, Channel: -1, StartMs: 0, DurationMs: 1e6, ExtraPerOpUs: 500},
 		}}
-		_, res := replayWithFaults(t, cfg, "HPC_R", 1000)
+		_, res := replayWorkload(t, cfg, "HPC_R", 1000)
 		return res
 	}()
 	if slowed.Latency.Mean <= plain.Latency.Mean {

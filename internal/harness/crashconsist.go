@@ -95,7 +95,14 @@ func CrashConsist(o Options) (*Grid, error) {
 							RebuildTarget: gcsteering.RebuildToSpare,
 						}
 					}
-					return gcsteering.ReplayWithPowerLoss(cfg, tr)
+					// The cut and the plan need the trace; rebuild the
+					// system with them set. The trace is reused — neither
+					// knob affects the array geometry.
+					sys, err = gcsteering.New(cfg)
+					if err != nil {
+						return nil, err
+					}
+					return sys.Replay(tr)
 				},
 				post: func(c Cell, payload any) {
 					r := payload.(*gcsteering.Results)

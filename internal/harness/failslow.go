@@ -87,7 +87,7 @@ func FailSlow(o Options) (*Grid, error) {
 					if err != nil {
 						return nil, err
 					}
-					return sys.ReplayWithFaults(tr)
+					return sys.Replay(tr)
 				},
 				post: func(c Cell, payload any) {
 					r := payload.(*gcsteering.Results)

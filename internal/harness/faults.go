@@ -80,7 +80,7 @@ func Faults(o Options) (*Grid, error) {
 					if err != nil {
 						return nil, err
 					}
-					return sys.ReplayWithFaults(tr)
+					return sys.Replay(tr)
 				},
 				post: func(c Cell, payload any) {
 					r := payload.(*gcsteering.Results)

@@ -1,7 +1,6 @@
 package gcsteering
 
 import (
-	"fmt"
 	"sort"
 
 	"gcsteering/internal/fault"
@@ -9,7 +8,6 @@ import (
 	"gcsteering/internal/raid"
 	"gcsteering/internal/scrub"
 	"gcsteering/internal/sim"
-	"gcsteering/internal/trace"
 )
 
 // CrashStats describes one power-loss run: what the cut interrupted, what
@@ -55,15 +53,8 @@ type CrashStats struct {
 	ServedDuringResync bool
 }
 
-// heldArrival is a request that arrived while the remounted array was
-// still resyncing (journal-on mode gates serving on resync completion).
-type heldArrival struct {
-	at sim.Time
-	r  Record
-}
-
-// ReplayWithPowerLoss replays the trace through a system whose power is
-// cut at Config.PowerLossAtMs, then remounts and recovers:
+// replayPowerLoss is Replay for a config with PowerLossAtMs set: the power
+// is cut at that instant, then the array remounts and recovers:
 //
 //  1. The pre-crash system runs normally — with the intent journal armed
 //     (it must exist in both modes: the simulation needs the ground truth
@@ -74,20 +65,26 @@ type heldArrival struct {
 //  2. The array remounts as a fresh identically-seeded system (the same
 //     warmed steady-state flash; page contents are not modeled beyond the
 //     defect sets) with the torn pages installed as CRC-failing defects.
-//     Fault-plan failures that predate the cut re-fail at time zero — a
+//     Fault-plan failures still open at the cut re-fail at time zero — a
 //     rebuild that was in flight restarts from nothing, as it must when
-//     its progress metadata died with the power.
+//     its progress metadata died with the power — while failures whose
+//     rebuild completed before the cut stay repaired.
 //  3. With Config.IntentJournal, recovery replays the journal and resyncs
-//     only the stripes it held open, holding arrivals until the walk
-//     completes (their wait is charged to their response times). Without
-//     it, recovery has no scope information: the array serves immediately
-//     while a full-array scrub hunts for the inconsistencies — every
-//     stripe it has not yet reached is the write hole, open.
-//  4. The rest of the trace replays against the recovered array.
+//     only the stripes it held open, gating the arrival cursor until the
+//     walk completes (the wait is charged to the held requests' response
+//     times). Without it, recovery has no scope information: the array
+//     serves immediately while a full-array scrub hunts for the
+//     inconsistencies — every stripe it has not yet reached is the write
+//     hole, open.
+//  4. The rest of the trace replays against the recovered array. An
+//     ObserveRequests hook follows it there: the remount's requests are
+//     reported under their trace indices, and requests lost in flight at
+//     the cut never settle.
 //
 // The returned Results describe the post-crash period (the paper-style
 // degraded measurement); Results.Crash carries the crash and recovery
-// accounting, including the pre-crash latency summary.
+// accounting, including the pre-crash latency summary. s itself is left
+// in its state at the cut.
 //
 // GC-Steering's staged redirected data is host data, and a cut while it
 // sits in staging loses it: the steering directory is volatile in this
@@ -95,65 +92,33 @@ type heldArrival struct {
 // semantics are future work. Config.ScrubMBps applies only to the
 // pre-crash half: after the remount the resync walk is the scrub.
 //
-// Like Replay, the config is consumed by one call; traces from crash runs
-// are not comparable to healthy-run traces (the clock restarts at the
-// remount).
-func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
-	if cfg.PowerLossAtMs <= 0 {
-		// No cut configured: behave exactly like the plain entry points so
-		// harness call sites can share one path.
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Fault.Enabled() {
-			return sys.ReplayWithFaults(tr)
-		}
-		return sys.Replay(tr)
-	}
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
-	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
+// Traces from crash runs are not comparable to healthy-run traces (the
+// clock restarts at the remount).
+func (s *System) replayPowerLoss(tr Trace) (*Results, error) {
+	cfg := s.cfg
 	crashAt := sim.Time(cfg.PowerLossAtMs * float64(sim.Millisecond))
 
 	// --- Phase 1: run to the cut. ---
-	sysA, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sysA.arr.Intents = &raid.IntentLog{Journaled: cfg.IntentJournal}
-	for _, d := range sysA.devs {
+	s.arr.Intents = &raid.IntentLog{Journaled: cfg.IntentJournal}
+	for _, d := range s.devs {
 		d.TrackPrograms = true
 	}
-	if cfg.Fault.Enabled() {
-		ctl, err := sysA.armFaults(cfg.Fault.plan(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
-	}
-	if err := sysA.startScrub(); err != nil {
+	if err := s.drive(tr, nil, crashAt); err != nil {
 		return nil, err
 	}
-	sysA.measuring = true
-	sysA.scheduleArrivals(tr)
-	sysA.eng.RunUntil(crashAt)
 
 	// --- Harvest the crash state. ---
-	intents := sysA.arr.OpenIntents()
-	lay := sysA.arr.Layout()
+	intents := s.arr.OpenIntents()
+	lay := s.arr.Layout()
 	unitPages := lay.UnitPages
 	diskPages := lay.DiskPages
 
 	// Torn pages per device, restricted to the array region: a program in
 	// the reserved tail (staging, rebuild reserve) that tears is simply
 	// lost with the volatile steering state it backed.
-	tornByDev := make([][]int, len(sysA.devs))
+	tornByDev := make([][]int, len(s.devs))
 	tornPages := 0
-	for d, dev := range sysA.devs {
+	for d, dev := range s.devs {
 		for _, lpn := range dev.TornPrograms(crashAt) {
 			if lpn >= diskPages {
 				continue
@@ -210,20 +175,20 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 		Enabled:             true,
 		Journaled:           cfg.IntentJournal,
 		CrashAt:             crashAt,
-		PreCrashRequests:    int64(sysA.lat.Count()),
-		PreCrash:            sysA.lat.Summarize(),
-		InFlightLost:        sysA.inFlight,
+		PreCrashRequests:    int64(s.lat.Count()),
+		PreCrash:            s.lat.Summarize(),
+		InFlightLost:        s.inFlight,
 		DirtyStripes:        len(dirtyOrder),
 		TornPages:           tornPages,
 		InconsistentStripes: len(inconsistent),
 		ServedDuringResync:  !cfg.IntentJournal,
 	}
-	if sysA.trace.Enabled() {
-		sysA.trace.Emit(crashAt, obs.Event{Kind: obs.KPowerLoss, Dev: -1, Page: -1,
+	if s.trace.Enabled() {
+		s.trace.Emit(crashAt, obs.Event{Kind: obs.KPowerLoss, Dev: -1, Page: -1,
 			Aux: int64(crash.DirtyStripes), Aux2: int64(crash.InFlightLost)})
 		for d, pages := range tornByDev {
 			for _, lpn := range pages {
-				sysA.trace.Emit(crashAt, obs.Event{Kind: obs.KTornWrite, Dev: int32(d),
+				s.trace.Emit(crashAt, obs.Event{Kind: obs.KTornWrite, Dev: int32(d),
 					Page: int64(lpn), Pages: 1, Aux: int64(lpn / unitPages)})
 			}
 		}
@@ -231,35 +196,27 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 
 	// --- Phase 2: remount, resync, serve the rest of the trace. ---
 	cfgB := cfg
-	cfgB.Fault = cfg.Fault.shiftPast(crashAt)
-	sysB, err := New(cfgB)
+	cfgB.Fault = cfg.Fault.shiftPast(crashAt, func(d int) bool {
+		// A repair installed a replacement in the failed slot.
+		return s.arr.Alive(d) && s.arr.Disks()[d] != raid.Disk(s.devs[d])
+	})
+	// The remount is not cut again, and its resync walk is the scrub.
+	cfgB.PowerLossAtMs, cfgB.ScrubMBps = 0, 0
+	b, err := New(cfgB)
 	if err != nil {
 		return nil, err
 	}
-	// The remounted members need fault hooks even without a fault plan:
-	// the torn pages are installed as CRC-failing defects. With a plan,
-	// the controller owns the injectors; Tear goes through its set.
-	var injs []*fault.Injector
-	if cfgB.Fault.Enabled() {
-		ctl, err := sysB.armFaults(cfgB.Fault.plan(cfgB.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
-		injs = ctl.Injectors()
-	} else {
-		injs = fault.Install(sysB.devs, cfgB.Fault.plan(cfgB.Seed))
-	}
-	for d, pages := range tornByDev {
-		injs[d].Tear(pages)
+	if fn := s.onRequest; fn != nil {
+		// The remount numbers its submissions from zero; every trace
+		// record up to the cut was submitted before it.
+		off := s.reqSeq
+		b.onRequest = func(seq, latNs int64, rejected bool) { fn(seq+off, latNs, rejected) }
 	}
 
 	// Resync scope: the journal's dirty list, or — journal off — every
 	// stripe, walked in order.
-	var stripes []int
-	if cfg.IntentJournal {
-		stripes = dirtyOrder
-	} else {
+	stripes := dirtyOrder
+	if !cfg.IntentJournal {
 		stripes = make([]int, lay.Stripes())
 		for i := range stripes {
 			stripes[i] = i
@@ -269,12 +226,39 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 	if mbps <= 0 {
 		mbps = 200
 	}
-	rs, err := scrub.NewResync(sysB.eng, sysB.arr, mbps, cfg.Flash.PageSize, stripes)
-	if err != nil {
-		return nil, err
+	var rs *scrub.Resyncer
+	resync := func() error {
+		// The torn pages become CRC-failing defects. With a fault plan the
+		// controller owns the injectors; without one the remounted members
+		// get bare fault hooks to carry them.
+		var injs []*fault.Injector
+		if b.faults != nil {
+			injs = b.faults.Injectors()
+		} else {
+			injs = fault.Install(b.devs, cfgB.Fault.plan(cfgB.Seed))
+		}
+		for d, pages := range tornByDev {
+			injs[d].Tear(pages)
+		}
+		var err error
+		rs, err = scrub.NewResync(b.eng, b.arr, mbps, cfg.Flash.PageSize, stripes)
+		if err != nil {
+			return err
+		}
+		rs.Inconsistent = func(st int) bool { return inconsistent[st] }
+		rs.Trace = b.trace
+		rs.OnComplete = func(now sim.Time) {
+			crash.ResyncDuration = now
+			if b.gated {
+				b.openGate(now)
+			}
+		}
+		// Journal on: hold arrivals until the walk completes. Off: serve
+		// during the walk.
+		b.gated = cfg.IntentJournal
+		rs.Start(0)
+		return nil
 	}
-	rs.Inconsistent = func(st int) bool { return inconsistent[st] }
-	rs.Trace = sysB.trace
 
 	// Suffix of the trace: arrivals after the cut, re-based to the remount.
 	var suffix Trace
@@ -284,47 +268,8 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 			suffix = append(suffix, r)
 		}
 	}
-
-	sysB.measuring = true
-	var held []heldArrival
-	gateOpen := !cfg.IntentJournal // journal off: serve during the walk
-	rs.OnComplete = func(now sim.Time) {
-		crash.ResyncDuration = now
-		if gateOpen {
-			return
-		}
-		gateOpen = true
-		for _, h := range held {
-			sysB.arrivalLag = int64(now - h.at)
-			sysB.submit(now, h.r)
-		}
-		sysB.arrivalLag = 0
-		held = nil
-	}
-	rs.Start(0)
-	if len(suffix) > 0 {
-		i := 0
-		var step func(now sim.Time)
-		step = func(now sim.Time) {
-			if gateOpen {
-				sysB.submit(now, suffix[i])
-			} else {
-				held = append(held, heldArrival{at: now, r: suffix[i]})
-			}
-			if i+1 < len(suffix) {
-				i++
-				sysB.eng.At(suffix[i].Timestamp, step)
-			}
-		}
-		sysB.eng.At(suffix[0].Timestamp, step)
-	}
-	sysB.eng.Run()
-	sysB.drainSteering()
-	if sysB.faults != nil {
-		sysB.faults.Finish(sysB.eng.Now())
-		if err := sysB.faults.Err(); err != nil {
-			return nil, err
-		}
+	if err := b.drive(suffix, resync, 0); err != nil {
+		return nil, err
 	}
 
 	st := rs.Stats()
@@ -333,7 +278,7 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 	crash.ResyncTornUnits = st.TornUnitsRepaired
 	crash.ResyncPagesRead = st.PagesRead
 	crash.ResyncPagesWritten = st.PagesWritten
-	res := sysB.results()
+	res := b.results()
 	res.Crash = crash
 	return res, nil
 }
@@ -349,13 +294,18 @@ func overlapsSorted(sorted []int, page, pages int) bool {
 // slowdown windows that predate the cut re-apply at time zero (their
 // effect — a missing member, a sick device — survives the power cycle;
 // any rebuild progress does not), and later ones shift left by the cut.
-func (p FaultPlan) shiftPast(crashAt sim.Time) FaultPlan {
+// A pre-cut failure of a member healed by the cut (its rebuild completed
+// and a replacement holds the slot) is dropped: nothing is missing.
+func (p FaultPlan) shiftPast(crashAt sim.Time, healed func(disk int) bool) FaultPlan {
 	out := p
 	out.Failures = nil
 	out.Slowdowns = nil
 	cutMs := float64(crashAt) / float64(sim.Millisecond)
 	for _, f := range p.Failures {
 		if f.AtMs <= cutMs {
+			if healed(f.Disk) {
+				continue
+			}
 			f.AtMs = 0
 		} else {
 			f.AtMs -= cutMs

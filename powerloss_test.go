@@ -39,7 +39,7 @@ func TestPowerLossJournalOnSweep(t *testing.T) {
 	for _, at := range crashSweepInstants {
 		c := cfg
 		c.PowerLossAtMs = at
-		res, err := ReplayWithPowerLoss(c, tr)
+		res, err := replayConfig(c, tr)
 		if err != nil {
 			t.Fatalf("crash at %vms: %v", at, err)
 		}
@@ -89,7 +89,7 @@ func TestPowerLossJournalOffSweep(t *testing.T) {
 	for _, at := range crashSweepInstants {
 		c := cfg
 		c.PowerLossAtMs = at
-		res, err := ReplayWithPowerLoss(c, tr)
+		res, err := replayConfig(c, tr)
 		if err != nil {
 			t.Fatalf("crash at %vms: %v", at, err)
 		}
@@ -132,7 +132,7 @@ func TestPowerLossDeterministic(t *testing.T) {
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 1200)
-		res, err := ReplayWithPowerLoss(cfg, tr)
+		res, err := replayConfig(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +156,7 @@ func TestPowerLossDeterministic(t *testing.T) {
 
 // TestPowerLossKnobsInert pins the zero-cost guarantee: with PowerLossAtMs
 // unset, the crash-consistency knobs change nothing — the trace is byte
-// identical to a run without them, and ReplayWithPowerLoss falls through
-// to the plain replay path.
+// identical to a run without them.
 func TestPowerLossKnobsInert(t *testing.T) {
 	run := func(journal bool, resync float64) string {
 		cfg := smallConfig(SchemeLGC)
@@ -166,7 +165,7 @@ func TestPowerLossKnobsInert(t *testing.T) {
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 800)
-		if _, err := ReplayWithPowerLoss(cfg, tr); err != nil {
+		if _, err := replayConfig(cfg, tr); err != nil {
 			t.Fatal(err)
 		}
 		if err := cfg.Trace.Flush(); err != nil {
@@ -180,38 +179,112 @@ func TestPowerLossKnobsInert(t *testing.T) {
 	}
 }
 
-// TestPowerLossDuringRebuild pins the crash-during-rebuild path: a member
-// fails before the cut, so the remounted array comes back degraded, the
-// rebuild restarts from zero, and recovery still closes every torn stripe.
+// TestPowerLossDuringRebuild pins the crash-during-rebuild paths. A member
+// that fails before the cut and is still rebuilding comes back degraded:
+// the rebuild restarts from zero and recovery still closes every torn
+// stripe. A member whose rebuild completed before the cut stays repaired:
+// the remount neither re-fails it nor rebuilds it again.
 func TestPowerLossDuringRebuild(t *testing.T) {
-	cfg := smallConfig(SchemeLGC)
-	cfg.Checksums = true
-	cfg.IntentJournal = true
-	cfg.PowerLossAtMs = 12
-	cfg.Fault = FaultPlan{
-		Failures:      []DiskFault{{Disk: 1, AtMs: 4}},
-		RepairDelayMs: 1,
-		RebuildMBps:   50,
-		RebuildTarget: RebuildToSpare,
+	for _, tc := range []struct {
+		name     string
+		cutMs    float64
+		plan     FaultPlan
+		failures int64 // post-crash Fault.Failures and Fault.Rebuilds
+	}{
+		{
+			name:  "mid-rebuild",
+			cutMs: 12,
+			plan: FaultPlan{
+				Failures:      []DiskFault{{Disk: 1, AtMs: 4}},
+				RepairDelayMs: 1,
+				RebuildMBps:   50,
+				RebuildTarget: RebuildToSpare,
+			},
+			failures: 1,
+		},
+		{
+			// The rebuild completes at about 1173 ms, just before the cut.
+			name:  "repaired-before-cut",
+			cutMs: 1175.56,
+			plan: FaultPlan{
+				Failures:      []DiskFault{{Disk: 1, AtMs: 1}},
+				RebuildMBps:   2000,
+				RebuildTarget: RebuildToSpare,
+			},
+			failures: 0,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(SchemeLGC)
+			cfg.Checksums = true
+			cfg.IntentJournal = true
+			cfg.PowerLossAtMs = tc.cutMs
+			cfg.Fault = tc.plan
+			tr := crashTrace(t, cfg, 2000)
+			res, err := replayConfig(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Crash.Enabled {
+				t.Fatal("crash stats missing")
+			}
+			f := res.Fault
+			if f.Failures != tc.failures || f.Rebuilds != tc.failures {
+				t.Fatalf("post-crash fault stats = %+v, want %d failure(s) and rebuild(s)", f, tc.failures)
+			}
+			if tc.failures == 0 && f.WindowOfVulnerability != 0 {
+				t.Fatalf("repaired member left a %v window of vulnerability after the remount", f.WindowOfVulnerability)
+			}
+			if res.Crash.ResyncFound != int64(res.Crash.InconsistentStripes) {
+				t.Fatalf("resync found %d of %d inconsistent stripes",
+					res.Crash.ResyncFound, res.Crash.InconsistentStripes)
+			}
+			if res.Integrity.ChecksumErrors != 0 {
+				t.Fatalf("%d post-resync checksum errors", res.Integrity.ChecksumErrors)
+			}
+		})
 	}
-	tr := crashTrace(t, cfg, 2000)
-	res, err := ReplayWithPowerLoss(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Crash.Enabled {
-		t.Fatal("crash stats missing")
-	}
-	// The pre-cut failure re-applies at the remount and the rebuild runs
-	// again from nothing (its progress died with the power).
-	if res.Fault.Failures != 1 || res.Fault.Rebuilds != 1 {
-		t.Fatalf("post-crash fault stats = %+v, want the failure re-applied and one rebuild", res.Fault)
-	}
-	if res.Crash.ResyncFound != int64(res.Crash.InconsistentStripes) {
-		t.Fatalf("resync found %d of %d inconsistent stripes",
-			res.Crash.ResyncFound, res.Crash.InconsistentStripes)
-	}
-	if res.Integrity.ChecksumErrors != 0 {
-		t.Fatalf("%d post-resync checksum errors", res.Integrity.ChecksumErrors)
+}
+
+// TestPowerLossObserveRequests pins the ObserveRequests contract across
+// the remount: every request is reported under its trace index, none
+// settles twice, and exactly the requests lost in flight at the cut never
+// settle.
+func TestPowerLossObserveRequests(t *testing.T) {
+	for _, journal := range []bool{true, false} {
+		cfg := smallConfig(SchemeLGC)
+		cfg.IntentJournal = journal
+		cfg.PowerLossAtMs = 15
+		tr := crashTrace(t, cfg, 1500)
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled := make([]int, len(tr))
+		sys.ObserveRequests(func(seq int64, latNs int64, rejected bool) {
+			if seq < 0 || seq >= int64(len(tr)) {
+				t.Fatalf("journal=%v: seq %d outside the %d-record trace", journal, seq, len(tr))
+			}
+			settled[seq]++
+		})
+		res, err := sys.Replay(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unsettled := 0
+		for i, n := range settled {
+			switch {
+			case n > 1:
+				t.Fatalf("journal=%v: trace index %d settled %d times", journal, i, n)
+			case n == 0:
+				unsettled++
+			}
+		}
+		if res.Crash.InFlightLost == 0 {
+			t.Fatalf("journal=%v: cut at %vms lost nothing in flight; test proves nothing", journal, cfg.PowerLossAtMs)
+		}
+		if unsettled != res.Crash.InFlightLost {
+			t.Fatalf("journal=%v: %d trace indices never settled, %d lost in flight", journal, unsettled, res.Crash.InFlightLost)
+		}
 	}
 }

@@ -45,8 +45,8 @@ type Results struct {
 	// RebuildDuration is non-zero for ReplayDuringRebuild runs.
 	RebuildDuration Time
 
-	// Fault carries the reliability measurements of a ReplayWithFaults run
-	// (Injected is false for plain replays).
+	// Fault carries the reliability measurements of a run whose Config
+	// enabled a fault plan (Injected is false otherwise).
 	Fault FaultStats
 
 	// Integrity carries the end-to-end checksum and hedged-read counters
@@ -93,10 +93,10 @@ type Results struct {
 	// faster — the reliability angle of §II-A.
 	Wear WearStats
 
-	// Crash carries the power-loss and recovery accounting of a
-	// ReplayWithPowerLoss run (Enabled is false for every other entry
-	// point). For crash runs the top-level latency fields describe the
-	// post-crash period; Crash.PreCrash holds the pre-cut summary.
+	// Crash carries the power-loss and recovery accounting of a run whose
+	// Config set PowerLossAtMs (Enabled is false otherwise). For crash runs
+	// the top-level latency fields describe the post-crash period;
+	// Crash.PreCrash holds the pre-cut summary.
 	Crash CrashStats
 }
 
@@ -108,7 +108,9 @@ const (
 	BusyGC BusyKind = iota
 	// BusyBreaker is one member's open health circuit breaker.
 	BusyBreaker
-	// BusyRebuild is an active reconstruction (array-wide, Dev -1).
+	// BusyRebuild is one member's failure-to-repair span: it opens when
+	// the member is lost and closes when its rebuild completes (Dev is the
+	// failed member), so back-to-back failures keep separate windows.
 	BusyRebuild
 )
 
@@ -126,12 +128,12 @@ func (k BusyKind) String() string {
 	}
 }
 
-// BusyInterval is one span during which a member device (or, for rebuilds,
-// the whole array) was occupied with background work that degrades
+// BusyInterval is one span during which a member device was occupied with
+// background work (or, for rebuilds, missing) in a way that degrades
 // foreground service. Recorded only when Config.RecordBusy is set.
 type BusyInterval struct {
 	Kind  BusyKind
-	Dev   int // member device, -1 for array-wide windows
+	Dev   int // member device
 	Start Time
 	End   Time
 }
@@ -217,7 +219,7 @@ type RobustStats struct {
 // FaultStats aggregates the reliability measurements of one fault-injected
 // run: what the fault plan did to the array and what it cost.
 type FaultStats struct {
-	// Injected marks results produced by ReplayWithFaults.
+	// Injected marks results of a run that executed an enabled fault plan.
 	Injected bool
 	// Failures counts whole-device losses the RAID level absorbed;
 	// ArrayFailures those beyond its tolerance (the array was lost).

@@ -87,16 +87,26 @@ type System struct {
 	reqSeq    int64
 	inFlight  int
 
-	// arrivalLag, normally zero, is the stall a power-loss replay charges
-	// the next submitted request: a request that arrived while the
-	// remounted array was still resyncing is submitted at gate-open with
-	// the wait folded into its recorded response time.
+	// The arrival cursor (scheduleArrivals): arrivals is the trace being
+	// streamed, arrivalBase the engine instant its timestamps count from,
+	// next the index of the next record to arrive. While gated (the
+	// journal-on remount resyncing before it serves), arrivals are parked
+	// instead of submitted; held counts them — always the records just
+	// before next — and openGate submits them.
+	arrivals    Trace
+	arrivalBase sim.Time
+	next        int
+	gated       bool
+	held        int
+	// arrivalLag, normally zero, is the stall openGate charges the request
+	// it submits: the wait between its arrival and gate-open, folded into
+	// its recorded response time.
 	arrivalLag int64
 
 	deadlineHits int64 // requests cancelled at their deadline
 	rejected     int64 // requests refused by admission control
 
-	faults   *fault.Controller // non-nil for ReplayWithFaults runs
+	faults   *fault.Controller // non-nil when Config.Fault is enabled
 	scrubber *scrub.Scrubber   // non-nil when Config.ScrubMBps > 0
 	health   *health.Monitor   // non-nil when Config.Quarantine
 	nrepl    int               // replacement SSDs created so far (device IDs)
@@ -110,8 +120,9 @@ type System struct {
 	// recording when reconstruction completes so the results describe the
 	// recovery period, as the paper's Fig. 11 does.
 	measuring       bool
-	rebuildActive   bool
 	rebuildDuration sim.Time
+	// replayed marks a System whose one replay has begun.
+	replayed bool
 }
 
 // New builds and warms up a system.
@@ -140,14 +151,7 @@ func New(cfg Config) (*System, error) {
 			s.rec.SetGauge("engine_pending", int64(now), float64(pending))
 		})
 	}
-	devCfg := ssd.Config{
-		Geometry:        cfg.Flash,
-		Latency:         cfg.Latency,
-		GCLowWater:      cfg.GCLowWater,
-		GCHighWater:     cfg.GCHighWater,
-		ForcedGCVictims: cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
+	devCfg := cfg.deviceConfig()
 	//lint:allow nodeterm root stream: every per-device seed below derives from Config.Seed through it
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Disks; i++ {
@@ -306,15 +310,7 @@ func (s *System) ensureSpare(seed int64) (*ssd.Device, error) {
 	if s.spare != nil {
 		return s.spare, nil
 	}
-	devCfg := ssd.Config{
-		Geometry:        s.cfg.Flash,
-		Latency:         s.cfg.Latency,
-		GCLowWater:      s.cfg.GCLowWater,
-		GCHighWater:     s.cfg.GCHighWater,
-		ForcedGCVictims: s.cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(s.cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
-	spare, err := ssd.New(s.cfg.Disks, s.eng, devCfg)
+	spare, err := ssd.New(s.cfg.Disks, s.eng, s.cfg.deviceConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -520,30 +516,87 @@ func (s *System) startScrub() error {
 }
 
 // Replay drives the trace through the system open-loop (arrivals at trace
-// timestamps) and runs to quiescence, returning the measured results.
+// timestamps) and runs to quiescence, returning the measured results. It
+// executes everything the Config carries: the fault plan (Config.Fault),
+// whose reliability measurements land in Results.Fault, and the power cut
+// (Config.PowerLossAtMs), after which Replay remounts the array, resyncs
+// it, and serves the rest of the trace (see replayPowerLoss).
+//
 // Replay may be called once per System; build a fresh System per run.
 func (s *System) Replay(tr Trace) (*Results, error) {
-	if err := trace.Validate(tr); err != nil {
+	if err := s.begin(tr); err != nil {
 		return nil, err
+	}
+	if s.cfg.PowerLossAtMs > 0 {
+		return s.replayPowerLoss(tr)
+	}
+	if err := s.drive(tr, nil, 0); err != nil {
+		return nil, err
+	}
+	return s.results(), nil
+}
+
+// begin checks a replay's trace and claims the System for that replay.
+func (s *System) begin(tr Trace) error {
+	if s.replayed {
+		return fmt.Errorf("gcsteering: System already replayed a trace; build a fresh System per run")
+	}
+	if err := trace.Validate(tr); err != nil {
+		return err
 	}
 	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
+		return fmt.Errorf("gcsteering: empty trace")
+	}
+	s.replayed = true
+	return nil
+}
+
+// drive is the one replay driver. It arms the fault plan when the Config
+// enables one, runs setup (ReplayDuringRebuild's scripted member loss, the
+// remount's torn pages and resync), starts the scrubber, and streams tr
+// through the arrival cursor. With cut > 0 it stops the engine at that
+// instant, leaving the crash state for replayPowerLoss to harvest;
+// otherwise it runs to quiescence, drains the steering controller, and
+// closes the fault controller's books.
+func (s *System) drive(tr Trace, setup func() error, cut sim.Time) error {
+	s.measuring = true
+	if s.cfg.Fault.Enabled() {
+		if err := s.armFaults(); err != nil {
+			return err
+		}
+	}
+	if setup != nil {
+		if err := setup(); err != nil {
+			return err
+		}
 	}
 	if err := s.startScrub(); err != nil {
-		return nil, err
+		return err
 	}
-	s.measuring = true
 	s.scheduleArrivals(tr)
+	if cut > 0 {
+		s.eng.RunUntil(cut)
+		return nil
+	}
 	s.eng.Run()
-	s.drainSteering()
-	return s.results(), nil
+	if s.steer != nil {
+		// Flush redirected write data back so the system ends consistent.
+		s.steer.DrainAll(s.eng.Now())
+		s.eng.Run()
+	}
+	if s.faults == nil {
+		return nil
+	}
+	s.faults.Finish(s.eng.Now())
+	return s.faults.Err()
 }
 
 // scheduleArrivals streams the trace into the engine one arrival at a
 // time (scheduling all arrivals up front would bloat the event queue). A
-// single closure advances a captured cursor, rather than one closure per
+// single closure advances the System's cursor, rather than one closure per
 // arrival; the submit-then-schedule order matches the old recursive shape,
-// so event sequence numbers — and therefore traces — are unchanged.
+// so event sequence numbers — and therefore traces — are unchanged. While
+// the cursor is gated, arrivals are parked for openGate instead.
 //
 // Hot root: the cursor closure re-fires once per trace request, so
 // everything it reaches is replay steady-state. hotalloc enforcing this
@@ -551,27 +604,34 @@ func (s *System) Replay(tr Trace) (*Results, error) {
 //
 //gcsvet:hot
 func (s *System) scheduleArrivals(tr Trace) {
-	base := s.eng.Now()
-	i := 0
+	if len(tr) == 0 {
+		return // a cut after the last arrival leaves the remount nothing to serve
+	}
+	s.arrivals, s.arrivalBase, s.next = tr, s.eng.Now(), 0
 	var step func(now sim.Time)
 	step = func(now sim.Time) { //lint:allow hotalloc one cursor closure per replay, re-armed per arrival rather than reallocated
-		s.submit(now, tr[i])
-		if i+1 < len(tr) {
-			i++
-			s.eng.At(base+tr[i].Timestamp, step)
+		if s.gated {
+			s.held++
+		} else {
+			s.submit(now, s.arrivals[s.next])
+		}
+		s.next++
+		if s.next < len(s.arrivals) {
+			s.eng.At(s.arrivalBase+s.arrivals[s.next].Timestamp, step)
 		}
 	}
-	s.eng.At(base+tr[0].Timestamp, step)
+	s.eng.At(s.arrivalBase+tr[0].Timestamp, step)
 }
 
-// drainSteering flushes redirected write data back after the run so the
-// system ends consistent.
-func (s *System) drainSteering() {
-	if s.steer == nil {
-		return
+// openGate releases a gated arrival cursor: every parked arrival is
+// submitted now, in arrival order, charged the wait since it arrived.
+func (s *System) openGate(now sim.Time) {
+	s.gated = false
+	for _, r := range s.arrivals[s.next-s.held : s.next] {
+		s.arrivalLag = int64(now - (s.arrivalBase + r.Timestamp))
+		s.submit(now, r)
 	}
-	s.steer.DrainAll(s.eng.Now())
-	s.eng.Run()
+	s.arrivalLag, s.held = 0, 0
 }
 
 // RebuildTarget selects where reconstruction writes the regenerated data.
@@ -590,208 +650,122 @@ const (
 // ReplayDuringRebuild fails member failDisk at time zero, starts
 // reconstruction at bandwidthMBps into the selected target, and replays
 // the trace concurrently. The returned results carry the user-visible
-// response times during recovery plus the rebuild duration.
+// response times during recovery — recording stops when the rebuild
+// completes — plus the rebuild duration. It runs on the same driver as
+// Replay, with the member loss scripted instead of drawn from a fault
+// plan, so a config carrying an enabled Config.Fault or a
+// Config.PowerLossAtMs cut is rejected: run those through Replay.
+//
+// Like Replay, call it once per System.
 func (s *System) ReplayDuringRebuild(tr Trace, failDisk int, bandwidthMBps float64, target RebuildTarget) (*Results, error) {
-	if err := trace.Validate(tr); err != nil {
+	if s.cfg.Fault.Enabled() || s.cfg.PowerLossAtMs > 0 {
+		return nil, fmt.Errorf("gcsteering: ReplayDuringRebuild scripts its own member loss; run a config with a fault plan or a power cut through Replay")
+	}
+	if err := s.begin(tr); err != nil {
 		return nil, err
 	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
-	if err := s.arr.FailDisk(failDisk); err != nil {
+	loss := func() error { return s.loseMember(failDisk, bandwidthMBps, target) }
+	if err := s.drive(tr, loss, 0); err != nil {
 		return nil, err
 	}
-	var sink rebuild.Sink
-	switch target {
-	case RebuildToSpare:
-		spare, err := s.ensureSpare(s.cfg.Seed + 13)
-		if err != nil {
-			return nil, err
-		}
-		sink = &rebuild.SpareSink{Disk: spare}
-	case RebuildToReserved:
-		var survivors []raid.Disk
-		for d, disk := range s.disks {
-			if d != failDisk {
-				survivors = append(survivors, disk)
-			}
-		}
-		reserve := s.rebuildReservePages()
-		if reserve < s.arr.Layout().UnitPages {
-			return nil, fmt.Errorf("gcsteering: no reserved space for parallel rebuild (configure reserved staging with a large enough ReservedFrac)")
-		}
-		base := s.cfg.Flash.LogicalPages() - reserve
-		var err error
-		sink, err = rebuild.NewReservedSink(survivors, base, reserve)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("gcsteering: unknown rebuild target %v", target)
-	}
-	rb, err := rebuild.New(s.eng, s.arr, sink, bandwidthMBps, s.cfg.Flash.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	rb.Trace = s.trace
-	reclaimFirst := false
-	if s.steer != nil {
-		s.steer.SetFailedHome(failDisk)
-		if s.cfg.Staging == StagingReserved {
-			// The failed member's staged copies are gone with it.
-			s.steer.Staging().SetUnavailable(failDisk)
-			s.steer.DropStagedOn(int32(failDisk))
-		}
-		// §III-D case ②: when the staging space acts as the replacement,
-		// previously redirected write data is reclaimed back before the
-		// reconstruction starts.
-		reclaimFirst = target == RebuildToReserved && s.steer.DTable().WriteLen() > 0
-	}
-	start := s.eng.Now()
-	s.rebuildActive = true
-	if s.busy != nil {
-		s.busy.note(BusyRebuild, -1, start, true)
-	}
-	rb.OnComplete = func(now sim.Time) {
-		s.rebuildDuration = now - start
-		s.rebuildActive = false
-		if s.busy != nil {
-			s.busy.note(BusyRebuild, -1, now, false)
-		}
-		// Stop recording: Fig. 11 reports the response time *during* the
-		// reconstruction, not the quiet period after it.
-		s.measuring = false
-		if s.steer != nil {
-			s.steer.Staging().SetUnavailable(-1)
-			s.steer.SetFailedHome(-1)
-			s.steer.SetRebuilding(now, false)
-		}
-	}
-	s.measuring = true
-	if reclaimFirst {
-		s.steer.DrainAll(start)
-		var await func(now sim.Time)
-		await = func(now sim.Time) {
-			if s.steer.Draining() {
-				s.eng.After(sim.Millisecond, await)
-				return
-			}
-			s.steer.SetRebuilding(now, true)
-			rb.Start(now)
-		}
-		s.eng.Defer(await)
-	} else {
-		if s.steer != nil {
-			s.steer.SetRebuilding(start, true)
-		}
-		rb.Start(start)
-	}
-	s.scheduleArrivals(tr)
-	s.eng.Run()
-	s.drainSteering()
 	res := s.results()
 	res.RebuildDuration = s.rebuildDuration
 	return res, nil
 }
 
-// ReplayWithFaults replays the trace while executing the configured fault
-// plan (Config.Fault): scheduled whole-device failures, latent sector
-// errors, latency spikes, and — when the plan caps a rebuild bandwidth —
-// automatic repair-and-rebuild into the plan's RebuildTarget. The results
-// carry the reliability measurements (window of vulnerability, rebuild
-// time, degraded-mode latency, data-loss events) in Results.Fault.
-//
-// Like Replay, call it once per System.
-func (s *System) ReplayWithFaults(tr Trace) (*Results, error) {
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
+// loseMember is ReplayDuringRebuild's scripted failure: member failDisk is
+// lost now and reconstructed at bandwidthMBps into target, through the
+// same sink factory and lifecycle hooks the fault controller drives.
+// Recording stops when the rebuild completes.
+func (s *System) loseMember(failDisk int, bandwidthMBps float64, target RebuildTarget) error {
+	if err := s.arr.FailDisk(failDisk); err != nil {
+		return err
 	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
-	ctl, err := s.armFaults(s.cfg.Fault.plan(s.cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	ctl.Start()
-	if err := s.startScrub(); err != nil {
-		return nil, err
-	}
-	s.measuring = true
-	s.scheduleArrivals(tr)
-	s.eng.Run()
-	s.drainSteering()
-	ctl.Finish(s.eng.Now())
-	if err := ctl.Err(); err != nil {
-		return nil, err
-	}
-	return s.results(), nil
-}
-
-// armFaults builds and wires the fault controller for the lowered plan —
-// the shared setup behind ReplayWithFaults and the power-loss replay. The
-// caller starts it.
-func (s *System) armFaults(plan fault.Plan) (*fault.Controller, error) {
-	ctl, err := fault.NewController(s.eng, s.arr, s.devs, plan, s.cfg.Flash.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	ctl.Trace = s.trace
-	ctl.SinkFor = s.faultSink
-	ctl.OnFail = func(now sim.Time, disk int) {
-		if s.busy != nil {
-			// The busy window opens at the loss, not the rebuild start: the
-			// array serves degraded reads for the whole failure-to-repair
-			// span, which is exactly the window cluster routing must avoid.
-			s.busy.note(BusyRebuild, disk, now, true)
+	var spare raid.Disk
+	if target == RebuildToSpare {
+		d, err := s.ensureSpare(s.cfg.Seed + 13)
+		if err != nil {
+			return err
 		}
-		if s.health != nil {
-			// A dead disk is the array's problem, not the breaker's: clear
-			// any open quarantine so reinstatement probes stop.
-			s.health.Reset(now, disk)
-		}
-		if s.steer == nil {
+		spare = d
+	}
+	sink, err := s.rebuildSink(target, failDisk, spare)
+	if err != nil {
+		return err
+	}
+	rb, err := rebuild.New(s.eng, s.arr, sink, bandwidthMBps, s.cfg.Flash.PageSize)
+	if err != nil {
+		return err
+	}
+	rb.Trace = s.trace
+	start := s.eng.Now()
+	s.memberLost(start, failDisk)
+	rb.OnComplete = func(now sim.Time) {
+		s.rebuildDuration = now - start
+		// Stop recording: Fig. 11 reports the response time *during* the
+		// reconstruction, not the quiet period after it.
+		s.measuring = false
+		s.memberRepaired(now, failDisk)
+	}
+	// §III-D case ②: when the staging space acts as the replacement,
+	// previously redirected write data is reclaimed back before the
+	// reconstruction starts.
+	if target != RebuildToReserved || s.steer == nil || s.steer.DTable().WriteLen() == 0 {
+		s.rebuildStarted(start, failDisk)
+		rb.Start(start)
+		return nil
+	}
+	s.steer.DrainAll(start)
+	var await func(now sim.Time)
+	await = func(now sim.Time) {
+		if s.steer.Draining() {
+			s.eng.After(sim.Millisecond, await)
 			return
 		}
-		s.steer.SetFailedHome(disk)
-		if s.cfg.Staging == StagingReserved {
-			// The failed member's staged copies are gone with it.
-			s.steer.Staging().SetUnavailable(disk)
-			s.steer.DropStagedOn(int32(disk))
-		}
+		s.rebuildStarted(now, failDisk)
+		rb.Start(now)
 	}
-	ctl.OnRebuildStart = func(now sim.Time, disk int) {
-		s.rebuildActive = true
-		if s.steer != nil {
-			s.steer.SetRebuilding(now, true)
-		}
-	}
-	ctl.OnRepair = func(now sim.Time, disk int) {
-		s.rebuildActive = false
-		if s.busy != nil {
-			s.busy.note(BusyRebuild, disk, now, false)
-		}
-		if s.steer != nil {
-			s.steer.Staging().SetUnavailable(-1)
-			s.steer.SetFailedHome(-1)
-			s.steer.SetRebuilding(now, false)
-		}
-	}
-	s.faults = ctl
-	return ctl, nil
+	s.eng.Defer(await)
+	return nil
 }
 
-// faultSink builds the rebuild sink for the plan's RebuildTarget plus the
-// replacement disk installed once that rebuild completes. Each failure gets
-// a fresh replacement SSD, so repeated failures rebuild onto clean devices.
-func (s *System) faultSink(now sim.Time, failDisk int) (rebuild.Sink, raid.Disk, error) {
-	repl, err := s.newReplacement()
+// armFaults builds, wires and starts the fault controller for the
+// Config's plan.
+func (s *System) armFaults() error {
+	ctl, err := fault.NewController(s.eng, s.arr, s.devs, s.cfg.Fault.plan(s.cfg.Seed), s.cfg.Flash.PageSize)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	switch s.cfg.Fault.RebuildTarget {
+	ctl.Trace = s.trace
+	// Each failure gets a fresh replacement SSD, so repeated failures
+	// rebuild onto clean devices.
+	ctl.SinkFor = func(now sim.Time, failDisk int) (rebuild.Sink, raid.Disk, error) {
+		repl, err := s.newReplacement()
+		if err != nil {
+			return nil, nil, err
+		}
+		sink, err := s.rebuildSink(s.cfg.Fault.RebuildTarget, failDisk, repl)
+		return sink, repl, err
+	}
+	ctl.OnFail = s.memberLost
+	ctl.OnRebuildStart = s.rebuildStarted
+	ctl.OnRepair = s.memberRepaired
+	s.faults = ctl
+	ctl.Start()
+	return nil
+}
+
+// rebuildSink builds the sink reconstruction of failDisk writes into: the
+// spare disk for RebuildToSpare, or the survivors' rebuild reserve for
+// RebuildToReserved. In the reserved case a fault-plan replacement still
+// fills the failed slot, so the array is redundant again as soon as the
+// parallel writes finish (the window-of-vulnerability endpoint); migrating
+// the data back onto the replacement happens off the critical path and is
+// not modelled.
+func (s *System) rebuildSink(target RebuildTarget, failDisk int, spare raid.Disk) (rebuild.Sink, error) {
+	switch target {
 	case RebuildToSpare:
-		return &rebuild.SpareSink{Disk: repl}, repl, nil
+		return &rebuild.SpareSink{Disk: spare}, nil
 	case RebuildToReserved:
 		var survivors []raid.Disk
 		for d, disk := range s.disks {
@@ -801,37 +775,63 @@ func (s *System) faultSink(now sim.Time, failDisk int) (rebuild.Sink, raid.Disk,
 		}
 		reserve := s.rebuildReservePages()
 		if reserve < s.arr.Layout().UnitPages {
-			return nil, nil, fmt.Errorf("gcsteering: no reserved space for parallel rebuild (configure reserved staging with a large enough ReservedFrac)")
+			return nil, fmt.Errorf("gcsteering: no reserved space for parallel rebuild (configure reserved staging with a large enough ReservedFrac)")
 		}
-		base := s.cfg.Flash.LogicalPages() - reserve
-		sink, err := rebuild.NewReservedSink(survivors, base, reserve)
-		if err != nil {
-			return nil, nil, err
-		}
-		// The reconstruction lands in the survivors' reserved space; the
-		// fresh replacement fills the failed slot so the array is redundant
-		// again as soon as the parallel writes finish (the WOV endpoint).
-		// Migrating the data back onto the replacement happens off the
-		// critical path and is not modelled.
-		return sink, repl, nil
+		return rebuild.NewReservedSink(survivors, s.cfg.Flash.LogicalPages()-reserve, reserve)
 	default:
-		return nil, nil, fmt.Errorf("gcsteering: unknown rebuild target %v", s.cfg.Fault.RebuildTarget)
+		return nil, fmt.Errorf("gcsteering: unknown rebuild target %v", target)
+	}
+}
+
+// memberLost, rebuildStarted and memberRepaired keep the busy log, the
+// health monitor and the steering controller in step with a member's
+// failure-to-repair lifecycle, whether the fault controller or
+// ReplayDuringRebuild drives it.
+func (s *System) memberLost(now sim.Time, disk int) {
+	if s.busy != nil {
+		// The busy window opens at the loss, not the rebuild start: the
+		// array serves degraded reads for the whole failure-to-repair
+		// span, which is exactly the window cluster routing must avoid.
+		s.busy.note(BusyRebuild, disk, now, true)
+	}
+	if s.health != nil {
+		// A dead disk is the array's problem, not the breaker's: clear
+		// any open quarantine so reinstatement probes stop.
+		s.health.Reset(now, disk)
+	}
+	if s.steer == nil {
+		return
+	}
+	s.steer.SetFailedHome(disk)
+	if s.cfg.Staging == StagingReserved {
+		// The failed member's staged copies are gone with it.
+		s.steer.Staging().SetUnavailable(disk)
+		s.steer.DropStagedOn(int32(disk))
+	}
+}
+
+func (s *System) rebuildStarted(now sim.Time, _ int) {
+	if s.steer != nil {
+		s.steer.SetRebuilding(now, true)
+	}
+}
+
+func (s *System) memberRepaired(now sim.Time, disk int) {
+	if s.busy != nil {
+		s.busy.note(BusyRebuild, disk, now, false)
+	}
+	if s.steer != nil {
+		s.steer.Staging().SetUnavailable(-1)
+		s.steer.SetFailedHome(-1)
+		s.steer.SetRebuilding(now, false)
 	}
 }
 
 // newReplacement creates a fresh SSD to take over a failed slot.
 func (s *System) newReplacement() (*ssd.Device, error) {
-	devCfg := ssd.Config{
-		Geometry:        s.cfg.Flash,
-		Latency:         s.cfg.Latency,
-		GCLowWater:      s.cfg.GCLowWater,
-		GCHighWater:     s.cfg.GCHighWater,
-		ForcedGCVictims: s.cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(s.cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
 	// IDs continue past the members and the optional dedicated spare.
 	id := s.cfg.Disks + 1 + s.nrepl
-	repl, err := ssd.New(id, s.eng, devCfg)
+	repl, err := ssd.New(id, s.eng, s.cfg.deviceConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -850,11 +850,13 @@ func (s *System) Events() uint64 { return s.eng.Fired() }
 
 // ObserveRequests installs fn, invoked once per submitted request as it
 // settles: seq is the request's submission index (0-based, in trace
-// order), latNs the user-visible response time in nanoseconds (the
-// deadline for deadline-cancelled requests), and rejected marks requests
-// shed by admission control (their latNs is 0). The cluster layer uses it
-// to attribute shard latencies back to tenants. Call before Replay; a nil
-// fn removes the hook.
+// order; a power-loss replay keeps the trace numbering across the
+// remount, and requests lost in flight at the cut never settle), latNs
+// the user-visible response time in nanoseconds (the deadline for
+// deadline-cancelled requests), and rejected marks requests shed by
+// admission control (their latNs is 0). The cluster layer uses it to
+// attribute shard latencies back to tenants. Call before Replay; a nil fn
+// removes the hook.
 func (s *System) ObserveRequests(fn func(seq int64, latNs int64, rejected bool)) {
 	s.onRequest = fn
 }

@@ -117,16 +117,46 @@ func TestGenerateWorkloadUnknownProfile(t *testing.T) {
 }
 
 func TestReplayRejectsEmptyAndInvalid(t *testing.T) {
-	sys, err := New(smallConfig(SchemeLGC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Replay(nil); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	bad := Trace{{Timestamp: 5, Size: 4096}, {Timestamp: 1, Size: 4096}}
-	if _, err := sys.Replay(bad); err == nil {
-		t.Fatal("unordered trace accepted")
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, sys *System, tr Trace) error
+	}{
+		{"empty trace", func(_ *testing.T, sys *System, _ Trace) error {
+			_, err := sys.Replay(nil)
+			return err
+		}},
+		{"unordered trace", func(_ *testing.T, sys *System, _ Trace) error {
+			_, err := sys.Replay(Trace{{Timestamp: 5, Size: 4096}, {Timestamp: 1, Size: 4096}})
+			return err
+		}},
+		{"second replay", func(t *testing.T, sys *System, tr Trace) error {
+			if _, err := sys.Replay(tr); err != nil {
+				t.Fatal(err)
+			}
+			_, err := sys.Replay(tr)
+			return err
+		}},
+		{"replay after ReplayDuringRebuild", func(t *testing.T, sys *System, tr Trace) error {
+			if _, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare); err != nil {
+				t.Fatal(err)
+			}
+			_, err := sys.Replay(tr)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(smallConfig(SchemeLGC))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := sys.GenerateWorkload("hm_0", 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(t, sys, tr); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
 
@@ -168,16 +198,92 @@ func TestReplayDuringRebuildBothTargets(t *testing.T) {
 }
 
 func TestReplayDuringRebuildValidation(t *testing.T) {
-	sys, err := New(smallConfig(SchemeLGC))
+	for _, tc := range []struct {
+		name string
+		set  func(c *Config)
+		run  func(t *testing.T, sys *System, tr Trace) error
+	}{
+		{name: "bad disk id", run: func(t *testing.T, sys *System, tr Trace) error {
+			_, err := sys.ReplayDuringRebuild(tr, 99, 10, RebuildToSpare)
+			return err
+		}},
+		{name: "empty trace", run: func(_ *testing.T, sys *System, _ Trace) error {
+			_, err := sys.ReplayDuringRebuild(nil, 0, 10, RebuildToSpare)
+			return err
+		}},
+		{
+			name: "enabled fault plan",
+			set:  func(c *Config) { c.Fault.UREPerPageRead = 1e-4 },
+			run: func(t *testing.T, sys *System, tr Trace) error {
+				_, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare)
+				return err
+			},
+		},
+		{
+			name: "power cut",
+			set:  func(c *Config) { c.PowerLossAtMs = 5 },
+			run: func(t *testing.T, sys *System, tr Trace) error {
+				_, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare)
+				return err
+			},
+		},
+		{name: "second replay", run: func(t *testing.T, sys *System, tr Trace) error {
+			if _, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare); err != nil {
+				t.Fatal(err)
+			}
+			_, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(SchemeLGC)
+			if tc.set != nil {
+				tc.set(&cfg)
+			}
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := sys.GenerateWorkload("hm_0", 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(t, sys, tr); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
+// TestReplayDuringRebuildBusyWindow pins the busy-window convention shared
+// with fault-plan failures: the scripted rebuild's window belongs to the
+// failed member.
+func TestReplayDuringRebuildBusyWindow(t *testing.T) {
+	cfg := smallConfig(SchemeLGC)
+	cfg.RecordBusy = true
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := sys.GenerateWorkload("hm_0", 100)
-	if _, err := sys.ReplayDuringRebuild(tr, 99, 10, RebuildToSpare); err == nil {
-		t.Fatal("bad disk id accepted")
+	tr, err := sys.GenerateWorkload("hm_0", 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sys.ReplayDuringRebuild(nil, 0, 10, RebuildToSpare); err == nil {
-		t.Fatal("empty trace accepted")
+	res, err := sys.ReplayDuringRebuild(tr, 2, 10, RebuildToSpare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows []BusyInterval
+	for _, w := range res.Busy {
+		if w.Kind == BusyRebuild {
+			windows = append(windows, w)
+		}
+	}
+	if len(windows) != 1 || windows[0].Dev != 2 {
+		t.Fatalf("rebuild busy windows = %+v, want one on disk 2", windows)
+	}
+	if w := windows[0]; w.Start != 0 || w.End != res.RebuildDuration {
+		t.Fatalf("rebuild window [%v, %v], want [0, %v]", w.Start, w.End, res.RebuildDuration)
 	}
 }
 
