@@ -52,11 +52,12 @@ func emitReplay(t *testing.T, requests int) (eventsPerSec, gbPerSec float64, all
 		events, bytes = 0, 0
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sys, err := gcsteering.New(gcsteering.DefaultConfig())
+			cfg := gcsteering.DefaultConfig()
+			sys, err := gcsteering.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr, err := sys.GenerateWorkload("HPC_W", requests)
+			tr, err := cfg.GenerateWorkload("HPC_W", requests)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -225,7 +225,7 @@ func ablationRun(b *testing.B, wl string, seed int64, mutate func(*gcsteering.Co
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload(wl, 3000)
+	tr, err := cfg.GenerateWorkload(wl, 3000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func BenchmarkEndToEndReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("Fin1", 5000)
+		tr, err := cfg.GenerateWorkload("Fin1", 5000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,21 +3,10 @@
 //
 // Usage:
 //
-//	gcsbench -experiment fig7a [-requests 20000] [-workers 8] [-seed 1]
+//	gcsbench -experiment fig7a [-requests 20000] [-workers 8] [-seed 1] [-repeats 3]
 //
-// Experiments: table1, fig1 (variability timeline), fig2, fig7a, fig7b (an
-// alias of fig7a's run that highlights GC counts), fig8, fig9, fig10,
-// fig11, raid6 (the future-work extension), endurance, faults (the
-// reliability grid under injected failures), scrub (the self-healing grid:
-// patrol scrub and GC-hedged reads under seeded latent errors), failslow
-// (the fail-slow tolerance grid: health quarantine and hedged reads under
-// a sustained member slowdown with transient read errors), cluster (the
-// fleet grid: many arrays and tenants behind consistent-hash placement,
-// hash-only vs GC/rebuild-aware routing), chaos (the failure-domain grid:
-// whole-array crashes under a seeded chaos plan, unreplicated vs
-// replicated writes), crashconsist (the crash-consistency grid: power loss
-// mid-write with torn pages, intent journal vs full-scrub remount), all.
-// Run with -list-experiments to print the registry.
+// Run with -list-experiments to print the registry of experiments; all
+// runs every one of them in sequence.
 //
 // -json <path> additionally writes the machine-readable results of the run
 // (every grid's full metric tables) to the given file.
@@ -45,7 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"gcsteering"
@@ -73,31 +62,46 @@ type jsonDoc struct {
 	Experiments []experimentOut `json:"experiments"`
 }
 
-// allExperiments is the -experiment all sequence.
-var allExperiments = []string{"table1", "fig1", "fig2", "fig7a", "fig8",
-	"fig9", "fig10", "fig11", "raid6", "endurance", "faults", "scrub",
-	"failslow", "cluster", "chaos", "crashconsist"}
+// experiment is one row of the registry: a name -experiment accepts (plus
+// aliases), its -list-experiments blurb, and how to run it. A grid
+// experiment renders normalized to base ("" = raw values only).
+type experiment struct {
+	name    string
+	aliases []string
+	blurb   string
+	text    func(harness.Options) (string, error)
+	grid    func(harness.Options) (*harness.Grid, error)
+	base    string
+}
 
-// experimentBlurbs describes each entry of allExperiments for
-// -list-experiments (aliases like fig7b resolve to the same runs and are
-// not listed separately).
-var experimentBlurbs = map[string]string{
-	"table1":       "synthetic workload generator check against the paper's Table I",
-	"fig1":         "performance-variability timeline per GC scheme",
-	"fig2":         "GC duty cycle and episode statistics",
-	"fig7a":        "mean response time per scheme (fig7b/fig7 alias: GC counts)",
-	"fig8":         "array-size sweep",
-	"fig9":         "stripe-unit sweep",
-	"fig10":        "staging configuration comparison (reserved vs dedicated)",
-	"fig11":        "response time and rebuild duration during reconstruction",
-	"raid6":        "RAID6 extension of the main comparison",
-	"endurance":    "per-scheme flash wear (erases, write amplification)",
-	"faults":       "reliability grid: failures, rebuilds, window of vulnerability",
-	"scrub":        "self-healing grid: patrol scrub and hedged reads vs seeded defects",
-	"failslow":     "fail-slow grid: health quarantine, retries, hedged reads vs a slow member",
-	"cluster":      "fleet grid: 8 arrays × 16 tenants, hash-only vs GC/rebuild-aware routing",
-	"chaos":        "failure-domain grid: whole-array crashes and chaos, unreplicated vs replicated writes",
-	"crashconsist": "crash-consistency grid: power loss mid-write, intent journal vs full-scrub remount",
+// experiments is the registry, in the -experiment all run order.
+var experiments = []experiment{
+	{name: "table1", blurb: "synthetic workload generator check against the paper's Table I", text: harness.Table1},
+	{name: "fig1", blurb: "performance-variability timeline per GC scheme", text: harness.Fig1},
+	{name: "fig2", blurb: "read/write distribution over RI/WI/MIX pages per MSR trace", text: harness.Fig2},
+	{name: "fig7a", aliases: []string{"fig7b", "fig7"}, blurb: "mean response time and GC counts per scheme", grid: harness.Fig7, base: "LGC"},
+	{name: "fig8", blurb: "array-size sweep", grid: harness.Fig8, base: "5 SSDs"},
+	{name: "fig9", blurb: "stripe-unit sweep", grid: harness.Fig9, base: "64KB"},
+	{name: "fig10", blurb: "staging configuration comparison (reserved vs dedicated)", grid: harness.Fig10, base: "Reserved"},
+	{name: "fig11", blurb: "response time and rebuild duration during reconstruction", grid: harness.Fig11},
+	{name: "raid6", blurb: "RAID6 extension of the main comparison", grid: harness.RAID6, base: "LGC"},
+	{name: "endurance", blurb: "per-scheme flash wear (erases, write amplification)", text: harness.Endurance},
+	{name: "faults", blurb: "reliability grid: failures, rebuilds, window of vulnerability", grid: harness.Faults},
+	{name: "scrub", blurb: "self-healing grid: patrol scrub and hedged reads vs seeded defects", grid: harness.Scrub},
+	{name: "failslow", blurb: "fail-slow grid: health quarantine, retries, hedged reads vs a slow member", grid: harness.FailSlow, base: "none"},
+	{name: "cluster", blurb: "fleet grid: 8 arrays × 16 tenants, hash-only vs GC/rebuild-aware routing", grid: harness.Cluster, base: "hash-only"},
+	{name: "chaos", blurb: "failure-domain grid: whole-array crashes and chaos, unreplicated vs replicated writes", grid: harness.Chaos, base: "no-repl"},
+	{name: "crashconsist", blurb: "crash-consistency grid: power loss mid-write, intent journal vs full-scrub remount", grid: harness.CrashConsist},
+}
+
+// lookup returns the registry row name or one of its aliases selects.
+func lookup(name string) (experiment, bool) {
+	for _, e := range experiments {
+		if e.name == name || slices.Contains(e.aliases, name) {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 func main() {
@@ -111,12 +115,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gcsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment to run: table1|fig1|fig2|fig7a|fig7b|fig8|fig9|fig10|fig11|raid6|endurance|faults|scrub|failslow|cluster|chaos|crashconsist|all")
+		which      = fs.String("experiment", "all", "which experiment to run (see -list-experiments), or all")
 		listExps   = fs.Bool("list-experiments", false, "print the experiment registry and exit")
 		requests   = fs.Int("requests", 8000, "requests per workload (scaled-down replay of the Table I traces)")
 		workers    = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		seed       = fs.Int64("seed", 0, "seed offset for replication")
-		repeats    = fs.Int("repeats", 1, "average each cell over this many seeds")
+		repeats    = fs.Int("repeats", 1, "average each replay-grid cell over this many seeds (cluster, chaos, fig1, table1, fig2 and endurance are single-seed)")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
 		tracePath  = fs.String("trace", "", "write the simulation event log (JSONL) of tracing-aware experiments (fig1) to this file")
 		seriesPath = fs.String("timeseries", "", "write the windowed latency time series (CSV) of tracing-aware experiments (fig1) to this file")
@@ -138,27 +142,34 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *listExps {
 		// Sorted, so the listing is stable as the registry grows (the run
-		// order of -experiment all stays curated separately).
-		sorted := append([]string(nil), allExperiments...)
-		sort.Strings(sorted)
-		for _, n := range sorted {
-			fmt.Fprintf(stdout, "%-10s %s\n", n, experimentBlurbs[n])
+		// order of -experiment all is the registry's).
+		sorted := slices.Clone(experiments)
+		slices.SortFunc(sorted, func(a, b experiment) int { return strings.Compare(a.name, b.name) })
+		for _, e := range sorted {
+			blurb := e.blurb
+			if len(e.aliases) > 0 {
+				blurb += " (aliases: " + strings.Join(e.aliases, ", ") + ")"
+			}
+			fmt.Fprintf(stdout, "%-12s %s\n", e.name, blurb)
 		}
-		fmt.Fprintf(stdout, "%-10s %s\n", "all", "run every experiment above in sequence")
+		fmt.Fprintf(stdout, "%-12s %s\n", "all", "run every experiment above in sequence")
 		return 0
 	}
 
 	// Resolve the experiment list before touching any output file, so a
 	// typo'd -experiment exits cleanly without side effects.
-	names := []string{strings.ToLower(*experiment)}
-	if names[0] == "all" {
-		names = allExperiments
-	}
-	for _, n := range names {
-		if !knownExperiment(n) {
-			return fail("unknown experiment %q (have %s, all; see -list-experiments)",
-				n, strings.Join(allExperiments, ", "))
+	runs := experiments
+	if n := strings.ToLower(*which); n != "all" {
+		e, ok := lookup(n)
+		if !ok {
+			all := make([]string, len(experiments))
+			for i, e := range experiments {
+				all[i] = e.name
+			}
+			return fail("unknown experiment %q (have %s, all; see -list-experiments)", n, strings.Join(all, ", "))
 		}
+		e.name = n // the -json entry records the name the row was selected by
+		runs = []experiment{e}
 	}
 
 	o := harness.Options{MaxRequests: *requests, Workers: *workers, Seed: *seed, Repeats: *repeats}
@@ -187,8 +198,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		o.SeriesOut = seriesBuf
 	}
 
-	for _, n := range names {
-		out, err := runOne(n, o, stdout)
+	for _, e := range runs {
+		out, err := runOne(e, o, stdout)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -226,88 +237,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// knownExperiment reports whether name is a runnable experiment.
-func knownExperiment(name string) bool {
-	switch name {
-	case "fig1", "endurance", "table1", "fig2", "fig7a", "fig7b", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "raid6", "faults", "scrub",
-		"failslow", "cluster", "chaos", "crashconsist":
-		return true
-	}
-	return false
-}
-
 // runOne executes one experiment, renders its report to stdout, and returns
 // its -json entry.
-func runOne(name string, o harness.Options, stdout io.Writer) (experimentOut, error) {
-	out := experimentOut{Name: name}
-	text := func(s string, err error) error {
+func runOne(e experiment, o harness.Options, stdout io.Writer) (experimentOut, error) {
+	out := experimentOut{Name: e.name}
+	if e.text != nil {
+		s, err := e.text(o)
 		if err != nil {
-			return err
+			return out, err
 		}
 		fmt.Fprint(stdout, s)
 		out.Text = s
-		return nil
-	}
-	grid := func(g *harness.Grid, err error, base string) error {
+	} else {
+		g, err := e.grid(o)
 		if err != nil {
-			return err
+			return out, err
 		}
-		fmt.Fprint(stdout, g.Render(base))
+		fmt.Fprint(stdout, g.Render(e.base))
 		out.Grid = g
-		return nil
-	}
-	var err error
-	switch name {
-	case "fig1":
-		err = text(harness.Fig1(o))
-	case "endurance":
-		err = text(harness.Endurance(o))
-	case "table1":
-		err = text(harness.Table1(o))
-	case "fig2":
-		err = text(harness.Fig2(o))
-	case "fig7a", "fig7b", "fig7":
-		g, e := harness.Fig7(o)
-		err = grid(g, e, "LGC")
-	case "fig8":
-		g, e := harness.Fig8(o)
-		err = grid(g, e, "5 SSDs")
-	case "fig9":
-		g, e := harness.Fig9(o)
-		err = grid(g, e, "64KB")
-	case "fig10":
-		g, e := harness.Fig10(o)
-		err = grid(g, e, "Reserved")
-	case "fig11":
-		g, e := harness.Fig11(o)
-		err = grid(g, e, "")
-	case "raid6":
-		g, e := harness.RAID6(o)
-		err = grid(g, e, "LGC")
-	case "faults":
-		g, e := harness.Faults(o)
-		err = grid(g, e, "")
-	case "scrub":
-		g, e := harness.Scrub(o)
-		err = grid(g, e, "")
-	case "failslow":
-		g, e := harness.FailSlow(o)
-		err = grid(g, e, "none")
-	case "cluster":
-		g, e := harness.Cluster(o)
-		err = grid(g, e, "hash-only")
-	case "chaos":
-		g, e := harness.Chaos(o)
-		err = grid(g, e, "no-repl")
-	case "crashconsist":
-		g, e := harness.CrashConsist(o)
-		err = grid(g, e, "")
-	default:
-		err = fmt.Errorf("unknown experiment %q", name)
-	}
-	if err != nil {
-		return out, err
 	}
 	fmt.Fprintln(stdout)
 	return out, nil

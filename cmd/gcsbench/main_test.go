@@ -19,9 +19,9 @@ func TestUnknownExperimentExitsNonZero(t *testing.T) {
 		t.Fatalf("stderr %q lacks a clear unknown-experiment message", errb.String())
 	}
 	// The error lists what IS runnable, so a typo is a one-step fix.
-	for _, name := range allExperiments {
-		if !strings.Contains(errb.String(), name) {
-			t.Fatalf("stderr %q does not name experiment %q", errb.String(), name)
+	for _, e := range experiments {
+		if !strings.Contains(errb.String(), e.name) {
+			t.Fatalf("stderr %q does not name experiment %q", errb.String(), e.name)
 		}
 	}
 }
@@ -31,15 +31,18 @@ func TestListExperimentsPrintsRegistry(t *testing.T) {
 	if code := run([]string{"-list-experiments"}, &out, &errb); code != 0 {
 		t.Fatalf("-list-experiments exited %d: %s", code, errb.String())
 	}
-	for _, name := range allExperiments {
-		if !strings.Contains(out.String(), name) {
-			t.Fatalf("registry %q missing experiment %q", out.String(), name)
+	for _, e := range experiments {
+		if !strings.Contains(out.String(), e.name) {
+			t.Fatalf("registry %q missing experiment %q", out.String(), e.name)
 		}
-		if experimentBlurbs[name] == "" {
-			t.Fatalf("experiment %q has no blurb", name)
+		if e.blurb == "" {
+			t.Fatalf("experiment %q has no blurb", e.name)
 		}
-		if !strings.Contains(out.String(), experimentBlurbs[name]) {
-			t.Fatalf("registry %q missing blurb for %q", out.String(), name)
+		if !strings.Contains(out.String(), e.blurb) {
+			t.Fatalf("registry %q missing blurb for %q", out.String(), e.name)
+		}
+		if (e.text == nil) == (e.grid == nil) {
+			t.Fatalf("experiment %q must run exactly one of a text or a grid function", e.name)
 		}
 	}
 	if !strings.Contains(out.String(), "all") {
@@ -61,8 +64,25 @@ func TestListExperimentsSorted(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("registry not sorted: %v", names)
 	}
-	if len(names) != len(allExperiments) {
-		t.Fatalf("registry lists %d experiments, have %d", len(names), len(allExperiments))
+	if len(names) != len(experiments) {
+		t.Fatalf("registry lists %d experiments, have %d", len(names), len(experiments))
+	}
+}
+
+// TestRegistryNamesUnique pins that every name -experiment accepts
+// selects exactly one registry row.
+func TestRegistryNamesUnique(t *testing.T) {
+	seen := map[string]string{"all": "the all pseudo-experiment"}
+	for _, e := range experiments {
+		for _, n := range append([]string{e.name}, e.aliases...) {
+			if prev, ok := seen[n]; ok {
+				t.Fatalf("name %q selects both %s and %s", n, prev, e.name)
+			}
+			seen[n] = e.name
+			if got, ok := lookup(n); !ok || got.name != e.name {
+				t.Fatalf("lookup(%q) = %q, %v; want %q", n, got.name, ok, e.name)
+			}
+		}
 	}
 }
 

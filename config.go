@@ -15,8 +15,8 @@
 //
 //	cfg := gcsteering.DefaultConfig()
 //	cfg.Scheme = gcsteering.SchemeSteering
+//	tr, err := cfg.GenerateWorkload("Fin1", 20000)
 //	sys, err := gcsteering.New(cfg)
-//	tr, err := sys.GenerateWorkload("Fin1", 20000)
 //	res, err := sys.Replay(tr)
 //	fmt.Println(res.Latency)
 package gcsteering
@@ -30,6 +30,7 @@ import (
 	"gcsteering/internal/raid"
 	"gcsteering/internal/sim"
 	"gcsteering/internal/ssd"
+	"gcsteering/internal/workload"
 )
 
 // Scheme selects the GC-handling scheme under test.
@@ -404,6 +405,10 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors beyond what the subsystems check.
 func (c Config) Validate() error {
+	// The geometry comes first: the checks below divide by PageSize.
+	if err := c.Flash.Validate(); err != nil {
+		return err
+	}
 	if c.Disks < 2 {
 		return fmt.Errorf("gcsteering: Disks %d too few", c.Disks)
 	}
@@ -440,9 +445,6 @@ func (c Config) Validate() error {
 	if c.PowerLossAtMs > 0 && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: PowerLossAtMs needs RAID5/6 parity (level %v)", c.Level)
 	}
-	if err := c.Flash.Validate(); err != nil {
-		return err
-	}
 	if err := c.Fault.plan(c.Seed).Validate(c.Disks, c.Flash.Channels); err != nil {
 		return err
 	}
@@ -460,6 +462,26 @@ func (c Config) Capacity() int64 {
 		DiskPages: c.diskPages(),
 	}
 	return int64(lay.LogicalPages()) * int64(c.Flash.PageSize)
+}
+
+// GenerateWorkload synthesizes up to maxRequests of the named Table I
+// profile sized to the array's capacity (maxRequests <= 0 keeps the full
+// published request count). The trace is a pure function of the Config,
+// so it needs no System: a caller can size trace-dependent knobs (a fault
+// plan, a power cut) from it before calling New.
+func (c Config) GenerateWorkload(profile string, maxRequests int) (Trace, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	p, ok := workload.ByName(profile)
+	if !ok {
+		return nil, fmt.Errorf("gcsteering: unknown profile %q (have %v)", profile, workload.Names())
+	}
+	return workload.Generate(p, workload.Options{
+		Capacity:    c.Capacity(),
+		MaxRequests: maxRequests,
+		Seed:        c.Seed + 7,
+	})
 }
 
 // deviceConfig is the ssd.Config of every SSD the system builds: the

@@ -38,11 +38,11 @@ func main() {
 func run(workload string, requests int, scheme gcsteering.Scheme) *gcsteering.Results {
 	cfg := gcsteering.DefaultConfig()
 	cfg.Scheme = scheme
-	sys, err := gcsteering.New(cfg)
+	tr, err := cfg.GenerateWorkload(workload, requests)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload(workload, requests)
+	sys, err := gcsteering.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,11 +27,11 @@ func main() {
 		cfg := gcsteering.DefaultConfig()
 		cfg.Scheme = scheme
 
-		sys, err := gcsteering.New(cfg)
+		tr, err := cfg.GenerateWorkload(workload, requests)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload(workload, requests)
+		sys, err := gcsteering.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,11 +42,11 @@ func main() {
 		cfg.ReservedFrac = 0.30 // enough reserved space to hold a member's share
 
 		// Run 1: normal state (no failure) for the baseline mean.
-		normalSys, err := gcsteering.New(cfg)
+		tr, err := cfg.GenerateWorkload(workload, requests)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := normalSys.GenerateWorkload(workload, requests)
+		normalSys, err := gcsteering.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

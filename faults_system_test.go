@@ -15,11 +15,11 @@ func faultConfig(scheme Scheme, plan FaultPlan) Config {
 // the wl profile through Replay, which executes the config's fault plan.
 func replayWorkload(t *testing.T, cfg Config, wl string, reqs int) (*System, *Results) {
 	t.Helper()
-	sys, err := New(cfg)
+	tr, err := cfg.GenerateWorkload(wl, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload(wl, reqs)
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSlowdownStretchesLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("HPC_R", 1000)
+		tr, err := base.GenerateWorkload("HPC_R", 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

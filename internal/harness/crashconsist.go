@@ -44,84 +44,68 @@ func crashScenarios() []crashScenario {
 // array serves during its full-array walk, the window the journal closes.
 func CrashConsist(o Options) (*Grid, error) {
 	scenarios := crashScenarios()
-	variants := []string{"journal", "no-journal"}
+	variants := []variant{
+		{"journal", func(c *gcsteering.Config) { c.IntentJournal = true }},
+		{"no-journal", func(*gcsteering.Config) {}},
+	}
 	workloads := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		workloads[i] = sc.name
 	}
 	g := newGrid("Crash consistency: power loss mid-write, intent journal vs full-scrub remount",
-		workloads, variants)
+		workloads, names(variants))
 
-	var jobs []cellJob
+	var cells []gridCell
 	for _, sc := range scenarios {
-		for _, journal := range []bool{true, false} {
-			sc, journal := sc, journal
-			variant := variants[1]
-			if journal {
-				variant = variants[0]
-			}
+		for _, v := range variants {
 			cfg := o.base()
 			cfg.Scheme = gcsteering.SchemeLGC
-			cfg.IntentJournal = journal
+			v.set(&cfg)
 			if sc.rebuild {
 				cfg.ReservedFrac = 0.30
 			}
-			jobs = append(jobs, cellJob{
-				cell: Cell{sc.name, variant},
-				run: func() (any, error) {
-					sys, err := gcsteering.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := sys.GenerateWorkload(sc.workload, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					dur := tr[len(tr)-1].Timestamp.Seconds()
-					cut := tr[int(float64(len(tr)-1)*sc.cutFrac)].Timestamp
-					cfg := cfg
-					cfg.PowerLossAtMs = cut.Seconds()*1000 + 0.2
-					if sc.rebuild {
-						// Fail a member at the 10%-request arrival (so it
-						// precedes the cut) with the rebuild paced to span
-						// roughly half the trace, so the cut interrupts it
-						// mid-flight (the faults grid's sizing rule).
-						failAt := tr[int(float64(len(tr)-1)*0.10)].Timestamp
-						diskBytes := float64(sys.Capacity()) / float64(cfg.Disks-1)
-						cfg.Fault = gcsteering.FaultPlan{
-							Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: failAt.Seconds() * 1000}},
-							RepairDelayMs: 5,
-							RebuildMBps:   diskBytes / 1e6 / (dur * 0.45),
-							RebuildTarget: gcsteering.RebuildToSpare,
-						}
-					}
-					// The cut and the plan need the trace; rebuild the
-					// system with them set. The trace is reused — neither
-					// knob affects the array geometry.
-					sys, err = gcsteering.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return sys.Replay(tr)
-				},
-				post: func(c Cell, payload any) {
-					r := payload.(*gcsteering.Results)
+			cells = append(cells, gridCell{
+				cell:    Cell{sc.name, v.name},
+				cfg:     cfg,
+				profile: sc.workload,
+				prepare: sc.prepare,
+				metrics: func(r *gcsteering.Results) []metric {
 					cr := r.Crash
-					g.Mean[c] = r.Latency.Mean / 1e3
-					g.addAux("inconsistent stripes", c, float64(cr.InconsistentStripes))
-					g.addAux("resync found", c, float64(cr.ResyncFound))
-					g.addAux("dirty stripes (journal scope)", c, float64(cr.DirtyStripes))
-					g.addAux("torn pages", c, float64(cr.TornPages))
-					g.addAux("resync stripes walked", c, float64(cr.ResyncStripesWalked))
-					g.addAux("resync time (ms)", c, cr.ResyncDuration.Seconds()*1000)
-					g.addAux("post-crash p99 (µs)", c, float64(r.Latency.P99)/1e3)
-					g.addAux("in-flight lost", c, float64(cr.InFlightLost))
+					return []metric{
+						{"inconsistent stripes", float64(cr.InconsistentStripes), asIs},
+						{"resync found", float64(cr.ResyncFound), asIs},
+						{"dirty stripes (journal scope)", float64(cr.DirtyStripes), asIs},
+						{"torn pages", float64(cr.TornPages), asIs},
+						{"resync stripes walked", float64(cr.ResyncStripesWalked), asIs},
+						{"resync time (ms)", cr.ResyncDuration.Seconds() * 1000, asIs},
+						{"post-crash p99 (µs)", float64(r.Latency.P99), nsToUs},
+						{"in-flight lost", float64(cr.InFlightLost), asIs},
+					}
 				},
 			})
 		}
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
+	return runCells(g, cells, o)
+}
+
+// prepare places the scenario's power cut and, for the rebuild regime,
+// the member failure it interrupts.
+func (sc crashScenario) prepare(cfg *gcsteering.Config, tr gcsteering.Trace) {
+	dur := tr[len(tr)-1].Timestamp.Seconds()
+	cut := tr[int(float64(len(tr)-1)*sc.cutFrac)].Timestamp
+	cfg.PowerLossAtMs = cut.Seconds()*1000 + 0.2
+	if !sc.rebuild {
+		return
 	}
-	return g, nil
+	// Fail a member at the 10%-request arrival (so it precedes the cut)
+	// with the rebuild paced to span roughly half the trace, so the cut
+	// interrupts it mid-flight (the faults grid's sizing rule).
+	failAt := tr[int(float64(len(tr)-1)*0.10)].Timestamp
+	diskBytes := float64(cfg.Capacity()) / float64(cfg.Disks-1)
+	cfg.Fault = gcsteering.FaultPlan{
+		Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: failAt.Seconds() * 1000}},
+		RepairDelayMs: 5,
+		RebuildMBps:   diskBytes / 1e6 / (dur * 0.45),
+		RebuildTarget: gcsteering.RebuildToSpare,
+	}
 }

@@ -211,7 +211,7 @@ func TestRobustZeroCostWhenHealthy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("HPC_W", 400)
+		tr, err := cfg.GenerateWorkload("HPC_W", 400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestTraceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("HPC_W", 400)
+		tr, err := cfg.GenerateWorkload("HPC_W", 400)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,7 @@ import (
 )
 
 // schemes used across the figures, in the paper's order.
-var schemeVariants = []struct {
-	name string
-	set  func(*gcsteering.Config)
-}{
+var schemeVariants = []variant{
 	{"LGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeLGC }},
 	{"GGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeGGC }},
 	{"GC-Steering", func(c *gcsteering.Config) {
@@ -29,21 +26,6 @@ func allWorkloads() []string { return workload.Names() }
 // fig8Workloads is the five-workload subset the sensitivity figures use.
 func fig8Workloads() []string {
 	return []string{"HPC_W", "HPC_R", "Fin1", "hm_0", "prxy_0"}
-}
-
-// replayCell builds a system (with the given extra seed shift),
-// synthesizes the workload sized to its capacity, and replays it.
-func replayCell(cfg gcsteering.Config, wl string, maxReq int, seedShift int64) (*gcsteering.Results, error) {
-	cfg.Seed += seedShift
-	sys, err := gcsteering.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := sys.GenerateWorkload(wl, maxReq)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Replay(tr)
 }
 
 // Table1 regenerates the trace-characteristics table: for each profile it
@@ -109,38 +91,20 @@ func Fig2(o Options) (string, error) {
 // counts (7b) for LGC, GGC and GC-Steering over all eight workloads,
 // normalized to LGC.
 func Fig7(o Options) (*Grid, error) {
-	g := newGrid("Figure 7: LGC vs GGC vs GC-Steering (RAID5, 5 SSDs, 64KB unit)",
-		allWorkloads(), variantNames())
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range schemeVariants {
-			w, v := w, v
-			cfg := o.base()
-			v.set(&cfg)
-			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
-				func(c Cell, r *AvgResults) {
-					g.Mean[c] = r.MeanNs / 1e3
-					g.addAux("GC count (episodes)", c, r.GCEpisodes)
-					g.addAux("p99 response time (µs)", c, r.P99Ns/1e3)
-					if c.Variant == "GC-Steering" {
-						g.addAux("redirect ratio (%)", c, 100*r.Redirect)
-					}
-				}))
-		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func variantNames() []string {
-	out := make([]string, len(schemeVariants))
-	for i, v := range schemeVariants {
-		out[i] = v.name
-	}
-	return out
+	return replayGrid(o, "Figure 7: LGC vs GGC vs GC-Steering (RAID5, 5 SSDs, 64KB unit)",
+		allWorkloads(), schemeVariants, gridCell{
+			cfg: o.base(),
+			metrics: func(r *gcsteering.Results) []metric {
+				ms := []metric{
+					{"GC count (episodes)", float64(r.GCEpisodes), asIs},
+					{"p99 response time (µs)", float64(r.Latency.P99), nsToUs},
+				}
+				if r.Scheme == gcsteering.SchemeSteering {
+					ms = append(ms, metric{"redirect ratio (%)", r.RedirectRatio, toPercent})
+				}
+				return ms
+			},
+		})
 }
 
 // Fig8 regenerates the number-of-SSDs sensitivity study: GC-Steering on
@@ -150,90 +114,47 @@ func variantNames() []string {
 func Fig8(o Options) (*Grid, error) {
 	g := newGrid("Figure 8: impact of the number of SSDs (GC-Steering)",
 		fig8Workloads(), []string{"5 SSDs", "7 SSDs"})
-	var jobs []cellJob
+	var cells []gridCell
 	for _, w := range g.Workloads {
 		for _, disks := range []int{5, 7} {
-			w, disks := w, disks
 			cfg := o.base()
 			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.Disks = disks
-			jobs = append(jobs, replayJob(Cell{w, fmt.Sprintf("%d SSDs", disks)}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					cfg := cfg
-					cfg.Seed += shift
-					small := cfg
-					small.Disks = 5
-					ref, err := gcsteering.New(small)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := ref.GenerateWorkload(w, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					sys, err := gcsteering.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return sys.Replay(tr)
-				},
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
+			cfg.Disks = 5 // sizes the trace; prepare sets the replayed array
+			cells = append(cells, gridCell{
+				cell:    Cell{w, fmt.Sprintf("%d SSDs", disks)},
+				cfg:     cfg,
+				profile: w,
+				prepare: func(cfg *gcsteering.Config, _ gcsteering.Trace) { cfg.Disks = disks },
+			})
 		}
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return runCells(g, cells, o)
 }
 
 // Fig9 regenerates the stripe-unit-size sensitivity study: 4 KB, 64 KB and
 // 128 KB units under GC-Steering.
 func Fig9(o Options) (*Grid, error) {
-	sizes := []int{4, 64, 128}
-	variants := make([]string, len(sizes))
-	for i, s := range sizes {
-		variants[i] = fmt.Sprintf("%dKB", s)
+	var variants []variant
+	for _, kb := range []int{4, 64, 128} {
+		variants = append(variants, variant{fmt.Sprintf("%dKB", kb), func(c *gcsteering.Config) { c.StripeUnitKB = kb }})
 	}
-	g := newGrid("Figure 9: impact of the stripe unit size (GC-Steering)", fig8Workloads(), variants)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for i, size := range sizes {
-			w, size, variant := w, size, variants[i]
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.StripeUnitKB = size
-			jobs = append(jobs, replayJob(Cell{w, variant}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
-		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	cfg := o.base()
+	cfg.Scheme = gcsteering.SchemeSteering
+	return replayGrid(o, "Figure 9: impact of the stripe unit size (GC-Steering)",
+		fig8Workloads(), variants, gridCell{cfg: cfg})
 }
 
 // Fig10 regenerates the staging-space design-choice study: reserved space
 // of each SSD vs a dedicated spare SSD.
 func Fig10(o Options) (*Grid, error) {
-	g := newGrid("Figure 10: impact of the staging space (GC-Steering)",
-		fig8Workloads(), []string{"Reserved", "Dedicated"})
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, staging := range []gcsteering.StagingKind{gcsteering.StagingReserved, gcsteering.StagingDedicated} {
-			w, staging := w, staging
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.Staging = staging
-			jobs = append(jobs, replayJob(Cell{w, staging.String()}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
-		}
+	var variants []variant
+	for _, staging := range []gcsteering.StagingKind{gcsteering.StagingReserved, gcsteering.StagingDedicated} {
+		variants = append(variants, variant{staging.String(), func(c *gcsteering.Config) { c.Staging = staging }})
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	cfg := o.base()
+	cfg.Scheme = gcsteering.SchemeSteering
+	return replayGrid(o, "Figure 10: impact of the staging space (GC-Steering)",
+		fig8Workloads(), variants, gridCell{cfg: cfg})
 }
 
 // Fig11 regenerates the reconstruction study: the mean user response time
@@ -242,97 +163,64 @@ func Fig10(o Options) (*Grid, error) {
 // I/O, the sixth acting as replacement (and as GC-Steering Dedicated's
 // staging); rebuild bandwidth capped at 10 MB/s.
 func Fig11(o Options) (*Grid, error) {
-	type variant struct {
-		name   string
-		set    func(*gcsteering.Config)
-		target gcsteering.RebuildTarget
-	}
 	variants := []variant{
-		{"LGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeLGC }, gcsteering.RebuildToSpare},
-		{"GGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeGGC }, gcsteering.RebuildToSpare},
+		schemeVariants[0],
+		schemeVariants[1],
 		{"GC-Steering(Reserved)", func(c *gcsteering.Config) {
 			c.Scheme = gcsteering.SchemeSteering
 			c.Staging = gcsteering.StagingReserved
-		}, gcsteering.RebuildToReserved},
+		}},
 		{"GC-Steering(Dedicated)", func(c *gcsteering.Config) {
 			c.Scheme = gcsteering.SchemeSteering
 			c.Staging = gcsteering.StagingDedicated
-		}, gcsteering.RebuildToSpare},
+		}},
 	}
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		names[i] = v.name
-	}
-	g := newGrid("Figure 11: response time during RAID reconstruction, normalized to the no-rebuild state",
-		fig8Workloads(), names)
-
-	// Two runs per cell: normal and during-rebuild; the grid's primary
-	// metric is the during-rebuild mean; the ratio goes in Aux.
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range variants {
-			w, v := w, v
-			cfg := o.base()
-			// The reserved space must be able to hold a failed member's
-			// contents for the parallel reconstruction workflow, so this
-			// experiment provisions a larger reservation (for every scheme,
-			// keeping the array geometry identical across variants).
-			cfg.ReservedFrac = 0.30
-			v.set(&cfg)
-			jobs = append(jobs, cellJob{
-				cell: Cell{w, v.name},
-				run: func() (any, error) {
-					normalSys, err := gcsteering.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := normalSys.GenerateWorkload(w, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					normal, err := normalSys.Replay(tr)
-					if err != nil {
-						return nil, err
-					}
-					rebSys, err := gcsteering.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					// The paper rebuilds a 120 GB SSD at 10 MB/s — several
-					// hours, longer than the one-hour traces, so recovery is
-					// under way for the entire replay. Scale the bandwidth
-					// cap so the simulated rebuild likewise spans the trace.
-					bw, err := rebuildBandwidthMBps(rebSys.Capacity(), cfg.Disks, tr)
-					if err != nil {
-						return nil, err
-					}
-					reb, err := rebSys.ReplayDuringRebuild(tr, 2, bw, v.target)
-					if err != nil {
-						return nil, err
-					}
-					return rebuildPair{normal: normal, rebuild: reb}, nil
-				},
-				post: func(c Cell, payload any) {
-					pair := payload.(rebuildPair)
-					g.Mean[c] = pair.rebuild.Latency.Mean / 1e3
-					if pair.normal.Latency.Mean > 0 {
-						g.addAux("normalized to normal state", c, pair.rebuild.Latency.Mean/pair.normal.Latency.Mean)
-					}
-					g.addAux("rebuild duration (s)", c, pair.rebuild.RebuildDuration.Seconds())
-				},
-			})
-		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	cfg := o.base()
+	// The reserved space must be able to hold a failed member's contents
+	// for the parallel reconstruction workflow, so this experiment
+	// provisions a larger reservation (for every scheme, keeping the array
+	// geometry identical across variants).
+	cfg.ReservedFrac = 0.30
+	return replayGrid(o, "Figure 11: response time during RAID reconstruction, normalized to the no-rebuild state",
+		fig8Workloads(), variants, gridCell{cfg: cfg, run: rebuildReplays})
 }
 
-// rebuildPair carries the two runs of one Fig. 11 cell.
-type rebuildPair struct {
-	normal  *gcsteering.Results
-	rebuild *gcsteering.Results
+// rebuildReplays measures one Fig. 11 cell with two replays of the trace:
+// the normal state, then reconstruction of disk 2. The grid's primary
+// metric is the during-rebuild mean; the ratio goes in Aux.
+func rebuildReplays(cfg gcsteering.Config, tr gcsteering.Trace) ([]metric, error) {
+	normal, err := replay(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := gcsteering.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The paper rebuilds a 120 GB SSD at 10 MB/s — several hours, longer
+	// than the one-hour traces, so recovery is under way for the entire
+	// replay. Scale the bandwidth cap so the simulated rebuild likewise
+	// spans the trace.
+	bw, err := rebuildBandwidthMBps(cfg.Capacity(), cfg.Disks, tr)
+	if err != nil {
+		return nil, err
+	}
+	// GC-Steering with reserved staging rebuilds into the survivors'
+	// reserved space (the paper's parallel reconstruction workflow); every
+	// other variant rebuilds onto the sixth SSD.
+	target := gcsteering.RebuildToSpare
+	if cfg.Scheme == gcsteering.SchemeSteering && cfg.Staging == gcsteering.StagingReserved {
+		target = gcsteering.RebuildToReserved
+	}
+	reb, err := sys.ReplayDuringRebuild(tr, 2, bw, target)
+	if err != nil {
+		return nil, err
+	}
+	ms := []metric{latencyMean(reb), {"rebuild duration (s)", reb.RebuildDuration.Seconds(), asIs}}
+	if normal.Latency.Mean > 0 {
+		ms = append(ms, metric{"normalized to normal state", reb.Latency.Mean / normal.Latency.Mean, asIs})
+	}
+	return ms, nil
 }
 
 // minRebuildTraceSeconds floors the trace duration used to scale the
@@ -360,28 +248,16 @@ func rebuildBandwidthMBps(capacityBytes int64, disks int, tr gcsteering.Trace) (
 // RAID6 exercises the paper's future-work direction: the same scheme
 // comparison on a RAID6 array (6 SSDs, double parity).
 func RAID6(o Options) (*Grid, error) {
-	g := newGrid("Extension: LGC vs GGC vs GC-Steering on RAID6 (6 SSDs, 64KB unit)",
-		[]string{"HPC_W", "Fin1", "prxy_0"}, variantNames())
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range schemeVariants {
-			w, v := w, v
-			cfg := o.base()
-			cfg.Level = gcsteering.RAID6
-			cfg.Disks = 6
-			v.set(&cfg)
-			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
-				func(c Cell, r *AvgResults) {
-					g.Mean[c] = r.MeanNs / 1e3
-					g.addAux("GC count (episodes)", c, r.GCEpisodes)
-				}))
-		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	cfg := o.base()
+	cfg.Level = gcsteering.RAID6
+	cfg.Disks = 6
+	return replayGrid(o, "Extension: LGC vs GGC vs GC-Steering on RAID6 (6 SSDs, 64KB unit)",
+		[]string{"HPC_W", "Fin1", "prxy_0"}, schemeVariants, gridCell{
+			cfg: cfg,
+			metrics: func(r *gcsteering.Results) []metric {
+				return []metric{{"GC count (episodes)", float64(r.GCEpisodes), asIs}}
+			},
+		})
 }
 
 // Fig1 reproduces the paper's Figure 1 motivation: the response-time
@@ -410,7 +286,11 @@ func Fig1(o Options) (string, error) {
 		if cfg.Trace.Enabled() {
 			cfg.Trace.RunStart(0, "fig1/"+v.name)
 		}
-		res, err := replayCell(cfg, "HPC_W", o.maxRequests(), 0)
+		tr, err := cfg.GenerateWorkload("HPC_W", o.maxRequests())
+		if err != nil {
+			return "", err
+		}
+		res, err := replay(cfg, tr)
 		if err != nil {
 			return "", err
 		}
@@ -440,7 +320,11 @@ func Endurance(o Options) (string, error) {
 	for _, v := range schemeVariants {
 		cfg := o.base()
 		v.set(&cfg)
-		res, err := replayCell(cfg, "prxy_0", o.maxRequests(), 0)
+		tr, err := cfg.GenerateWorkload("prxy_0", o.maxRequests())
+		if err != nil {
+			return "", err
+		}
+		res, err := replay(cfg, tr)
 		if err != nil {
 			return "", err
 		}

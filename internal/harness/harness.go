@@ -32,9 +32,11 @@ type Options struct {
 	Workers int
 	// Seed offsets all cell seeds for replication studies.
 	Seed int64
-	// Repeats averages each cell over this many seeds (0 = 1). The paper's
-	// normalized bars are single measurements; averaging tames the
-	// simulator's run-to-run variance.
+	// Repeats averages each replay-grid cell over this many seeds (0 = 1),
+	// shifting the seed by 1000 per repeat. The paper's normalized bars are
+	// single measurements; averaging tames the simulator's run-to-run
+	// variance. Cluster, Chaos and the text experiments (Fig1, Table1, Fig2,
+	// Endurance) are single-seed.
 	Repeats int
 	// Base overrides the per-cell base configuration (nil = BaseConfig).
 	Base func() gcsteering.Config
@@ -90,6 +92,9 @@ func BaseConfig() gcsteering.Config {
 	// behaviour; the harness uses them unchanged.
 	return gcsteering.DefaultConfig()
 }
+
+// meanMetric names a grid's primary metric.
+const meanMetric = "mean response time (µs)"
 
 // Cell addresses one measurement in an experiment grid.
 type Cell struct {
@@ -168,7 +173,7 @@ func (g *Grid) GeoMeanNormalized(base string) map[string]float64 {
 func (g *Grid) Render(base string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", g.Title)
-	g.renderMetric(&b, "mean response time (µs)", g.Mean, "%.1f")
+	g.renderMetric(&b, meanMetric, g.Mean, "%.1f")
 	if base != "" {
 		norm := g.Normalized(base)
 		g.renderMetric(&b, fmt.Sprintf("normalized to %s", base), norm, "%.3f")
@@ -213,7 +218,7 @@ type gridJSON struct {
 }
 
 // MarshalJSON implements json.Marshaler: the primary metric appears under
-// "mean response time (µs)" alongside the auxiliary metrics.
+// meanMetric alongside the auxiliary metrics.
 func (g *Grid) MarshalJSON() ([]byte, error) {
 	out := gridJSON{
 		Title:     g.Title,
@@ -234,7 +239,7 @@ func (g *Grid) MarshalJSON() ([]byte, error) {
 		}
 		out.Metrics[name] = t
 	}
-	add("mean response time (µs)", g.Mean)
+	add(meanMetric, g.Mean)
 	for name, data := range g.Aux {
 		add(name, data)
 	}
@@ -250,80 +255,177 @@ func sortedKeys(m map[string]map[Cell]float64) []string {
 	return out
 }
 
-// cellJob is one simulation of a grid. run executes in a worker goroutine
-// and returns an arbitrary payload; post records it into the grid and is
-// always invoked from a single goroutine, so grids need no locking.
-type cellJob struct {
-	cell Cell
-	run  func() (any, error)
-	post func(c Cell, payload any)
+// variant is one column of a grid: its name and its change to the cell's
+// Config.
+type variant struct {
+	name string
+	set  func(*gcsteering.Config)
 }
 
-// replayJob adapts the common case: `repeats` replays with shifted seeds
-// whose averaged *gcsteering.Results feed the grid.
-func replayJob(c Cell, repeats int, run func(seedShift int64) (*gcsteering.Results, error), post func(Cell, *AvgResults)) cellJob {
-	return cellJob{
-		cell: c,
-		run: func() (any, error) {
-			avg := &AvgResults{}
-			for i := 0; i < repeats; i++ {
-				r, err := run(int64(i) * 1000)
-				if err != nil {
-					return nil, err
-				}
-				avg.add(r)
-			}
-			return avg, nil
-		},
-		post: func(c Cell, payload any) { post(c, payload.(*AvgResults)) },
+func names(vs []variant) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.name
 	}
+	return out
 }
 
-// AvgResults accumulates per-seed results of one cell.
-type AvgResults struct {
-	N          int
-	MeanNs     float64 // averaged mean response time (ns)
-	P99Ns      float64
-	GCEpisodes float64
-	Erases     float64
-	Redirect   float64
-	Last       *gcsteering.Results
+// unit converts a metric from the unit Results reports it in to the unit
+// the grid prints.
+type unit uint8
+
+const (
+	asIs      unit = iota
+	nsToUs         // nanoseconds → µs
+	toPercent      // ratio → %
+)
+
+func (u unit) of(v float64) float64 {
+	switch u {
+	case nsToUs:
+		return v / 1e3
+	case toPercent:
+		return 100 * v
+	}
+	return v
 }
 
-func (a *AvgResults) add(r *gcsteering.Results) {
-	a.N++
-	n := float64(a.N)
-	a.MeanNs += (r.Latency.Mean - a.MeanNs) / n
-	a.P99Ns += (float64(r.Latency.P99) - a.P99Ns) / n
-	a.GCEpisodes += (float64(r.GCEpisodes) - a.GCEpisodes) / n
-	a.Erases += (float64(r.Erases) - a.Erases) / n
-	a.Redirect += (r.RedirectRatio - a.Redirect) / n
-	a.Last = r
+// metric is one named value a cell reports from one replay. The pipeline
+// averages v over the repeats in the unit Results reports it in and
+// converts once after, so a single-seed cell reports exactly unit.of(v).
+type metric struct {
+	name string
+	v    float64
+	unit unit
 }
 
-// runCells executes jobs on a worker pool and applies post-hooks in a
-// single goroutine so the grid maps need no locking.
-func runCells(jobs []cellJob, workers int) error {
+// latencyMean is the primary metric every replay cell reports.
+func latencyMean(r *gcsteering.Results) metric {
+	return metric{meanMetric, r.Latency.Mean, nsToUs}
+}
+
+// gridCell is one cell of a replay grid: the Config and Table I profile it
+// replays and the metrics it reports. Each replay generates the trace from
+// cfg, lets prepare size trace-dependent knobs (a fault plan, a power cut,
+// a scrub cap) on its copy of cfg, then builds one System and replays.
+type gridCell struct {
+	cell    Cell
+	cfg     gcsteering.Config
+	profile string
+	// prepare, when set, adjusts the config from the trace before New.
+	prepare func(cfg *gcsteering.Config, tr gcsteering.Trace)
+	// metrics, when set, reports the auxiliary metrics of one replay; the
+	// mean response time is always recorded.
+	metrics func(r *gcsteering.Results) []metric
+	// run, when set, replaces the single replay for a cell measured over
+	// several (Fig11) and returns every metric, the mean included.
+	run func(cfg gcsteering.Config, tr gcsteering.Trace) ([]metric, error)
+}
+
+// replay builds one System from cfg and replays tr on it.
+func replay(cfg gcsteering.Config, tr gcsteering.Trace) (*gcsteering.Results, error) {
+	sys, err := gcsteering.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Replay(tr)
+}
+
+// once runs the cell a single time with its seed shifted by shift.
+func (c gridCell) once(maxRequests int, shift int64) ([]metric, error) {
+	cfg := c.cfg
+	cfg.Seed += shift
+	tr, err := cfg.GenerateWorkload(c.profile, maxRequests)
+	if err != nil {
+		return nil, err
+	}
+	if c.prepare != nil {
+		c.prepare(&cfg, tr)
+	}
+	if c.run != nil {
+		return c.run(cfg, tr)
+	}
+	r, err := replay(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	ms := []metric{latencyMean(r)}
+	if c.metrics != nil {
+		ms = append(ms, c.metrics(r)...)
+	}
+	return ms, nil
+}
+
+// measure runs the cell o.repeats() times, shifting the seed by 1000 per
+// repeat, and averages each metric over the runs that report it.
+func (c gridCell) measure(o Options) (map[string]float64, error) {
+	type running struct {
+		mean float64
+		n    int
+		unit unit
+	}
+	acc := make(map[string]*running)
+	for i := 0; i < o.repeats(); i++ {
+		ms, err := c.once(o.maxRequests(), int64(i)*1000)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range ms {
+			a := acc[m.name]
+			if a == nil {
+				a = &running{unit: m.unit}
+				acc[m.name] = a
+			}
+			a.n++
+			a.mean += (m.v - a.mean) / float64(a.n)
+		}
+	}
+	out := make(map[string]float64, len(acc))
+	for name, a := range acc {
+		out[name] = a.unit.of(a.mean)
+	}
+	return out, nil
+}
+
+// replayGrid runs the workloads × variants grid: every cell copies tmpl,
+// applies its variant to the copy's cfg and replays its row's profile.
+func replayGrid(o Options, title string, workloads []string, variants []variant, tmpl gridCell) (*Grid, error) {
+	g := newGrid(title, workloads, names(variants))
+	cells := make([]gridCell, 0, len(workloads)*len(variants))
+	for _, w := range workloads {
+		for _, v := range variants {
+			c := tmpl
+			c.cell, c.profile = Cell{w, v.name}, w
+			v.set(&c.cfg)
+			cells = append(cells, c)
+		}
+	}
+	return runCells(g, cells, o)
+}
+
+// runCells measures the cells on a worker pool and records their metrics
+// into g from a single goroutine, so the grid maps need no locking.
+func runCells(g *Grid, cells []gridCell, o Options) (*Grid, error) {
 	type outcome struct {
 		idx int
-		res any
+		ms  map[string]float64
 		err error
 	}
 	jobCh := make(chan int)
 	outCh := make(chan outcome)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < o.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobCh {
-				res, err := jobs[idx].run()
-				outCh <- outcome{idx, res, err}
+				ms, err := cells[idx].measure(o)
+				outCh <- outcome{idx, ms, err}
 			}
 		}()
 	}
 	go func() {
-		for i := range jobs {
+		for i := range cells {
 			jobCh <- i
 		}
 		close(jobCh)
@@ -331,14 +433,24 @@ func runCells(jobs []cellJob, workers int) error {
 		close(outCh)
 	}()
 	var firstErr error
-	for o := range outCh {
-		if o.err != nil {
+	for out := range outCh {
+		c := cells[out.idx].cell
+		if out.err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cell %v: %w", jobs[o.idx].cell, o.err)
+				firstErr = fmt.Errorf("cell %v: %w", c, out.err)
 			}
 			continue
 		}
-		jobs[o.idx].post(jobs[o.idx].cell, o.res)
+		for name, v := range out.ms {
+			if name == meanMetric {
+				g.Mean[c] = v
+			} else {
+				g.addAux(name, c, v)
+			}
+		}
 	}
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return g, nil
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,34 +73,61 @@ func TestGridNormalizationAndRender(t *testing.T) {
 	}
 }
 
+// syntheticCell is a grid cell whose run derives its metrics from the
+// config instead of replaying, so pipeline tests pay only for generating
+// a tiny trace.
+func syntheticCell(c Cell, report func(cfg gcsteering.Config) []metric) gridCell {
+	return gridCell{
+		cell:    c,
+		cfg:     tinyOptions().Base(),
+		profile: "hm_0",
+		run: func(cfg gcsteering.Config, _ gcsteering.Trace) ([]metric, error) {
+			return report(cfg), nil
+		},
+	}
+}
+
 func TestRunCellsParallelAndErrors(t *testing.T) {
 	n := 20
-	results := make([]int, 0, n)
-	var jobs []cellJob
+	g := newGrid("t", []string{"w"}, nil)
+	var cells []gridCell
 	for i := 0; i < n; i++ {
-		i := i
-		jobs = append(jobs, cellJob{
-			cell: Cell{Workload: "w", Variant: "v"},
-			run:  func() (any, error) { return i, nil },
-			post: func(_ Cell, p any) { results = append(results, p.(int)) },
-		})
+		cells = append(cells, syntheticCell(Cell{"w", fmt.Sprint(i)}, func(gcsteering.Config) []metric {
+			return []metric{{meanMetric, float64(i), asIs}}
+		}))
 	}
-	if err := runCells(jobs, 4); err != nil {
+	if _, err := runCells(g, cells, Options{MaxRequests: 10, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != n {
-		t.Fatalf("posted %d results", len(results))
+	if len(g.Mean) != n {
+		t.Fatalf("recorded %d cells, want %d", len(g.Mean), n)
+	}
+	for i := 0; i < n; i++ {
+		if got := g.Mean[Cell{"w", fmt.Sprint(i)}]; got != float64(i) {
+			t.Fatalf("cell %d recorded %v", i, got)
+		}
 	}
 }
 
 func TestRunCellsPropagatesError(t *testing.T) {
-	jobs := []cellJob{{
-		cell: Cell{"w", "v"},
-		run:  func() (any, error) { return nil, errBoom{} },
-		post: func(Cell, any) { t.Fatal("post called on error") },
-	}}
-	if err := runCells(jobs, 2); err == nil {
-		t.Fatal("error swallowed")
+	boom := gridCell{
+		cell:    Cell{"w", "boom"},
+		cfg:     tinyOptions().Base(),
+		profile: "hm_0",
+		run: func(gcsteering.Config, gcsteering.Trace) ([]metric, error) {
+			return nil, errBoom{}
+		},
+	}
+	unknown := boom
+	unknown.cell, unknown.profile, unknown.run = Cell{"w", "unknown"}, "nope", nil
+	for _, c := range []gridCell{boom, unknown} {
+		g, err := runCells(newGrid("t", []string{"w"}, nil), []gridCell{c}, Options{MaxRequests: 10, Workers: 2})
+		if err == nil || g != nil {
+			t.Fatalf("%v: error swallowed (grid %v)", c.cell, g)
+		}
+		if !strings.Contains(err.Error(), c.cell.Variant) {
+			t.Fatalf("error %q does not name the cell", err)
+		}
 	}
 }
 
@@ -106,21 +135,46 @@ type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
 
-func TestAvgResultsAveraging(t *testing.T) {
-	a := &AvgResults{}
-	r1 := &gcsteering.Results{}
-	r1.Latency.Mean = 100
-	r1.GCEpisodes = 10
-	r2 := &gcsteering.Results{}
-	r2.Latency.Mean = 300
-	r2.GCEpisodes = 20
-	a.add(r1)
-	a.add(r2)
-	if a.N != 2 || a.MeanNs != 200 || a.GCEpisodes != 15 {
-		t.Fatalf("avg: %+v", a)
+// TestRunCellsAveragesRepeats pins the pipeline's averaging: each metric is
+// averaged in the unit Results reports it in over the repeats that report
+// it, the seed shifts by 1000 per repeat, and a metric a cell never
+// reports stays absent from the grid.
+func TestRunCellsAveragesRepeats(t *testing.T) {
+	a, b := Cell{"w", "a"}, Cell{"w", "b"}
+	cells := []gridCell{
+		syntheticCell(a, func(cfg gcsteering.Config) []metric {
+			ms := []metric{
+				{meanMetric, float64(cfg.Seed) * 1000, nsToUs},
+				{"ratio (%)", float64(cfg.Seed) / 4, toPercent},
+			}
+			if cfg.Seed > 1000 {
+				ms = append(ms, metric{"second repeat only", 7, asIs})
+			}
+			return ms
+		}),
+		syntheticCell(b, func(cfg gcsteering.Config) []metric {
+			return []metric{{meanMetric, 3000, nsToUs}}
+		}),
 	}
-	if a.Last != r2 {
-		t.Fatal("Last not tracked")
+	g := newGrid("t", []string{"w"}, []string{"a", "b"})
+	if _, err := runCells(g, cells, Options{MaxRequests: 10, Workers: 2, Repeats: 2}); err != nil {
+		t.Fatal(err)
+	}
+	seed := float64(tinyOptions().Base().Seed)
+	if got, want := g.Mean[a], seed+500; got != want {
+		t.Fatalf("mean of seeds %v and %v = %v µs, want %v", seed, seed+1000, got, want)
+	}
+	if got, want := g.Aux["ratio (%)"][a], 100*(seed+500)/4; got != want {
+		t.Fatalf("ratio = %v, want %v", got, want)
+	}
+	if got := g.Aux["second repeat only"][a]; got != 7 {
+		t.Fatalf("metric reported by one repeat averaged to %v, want 7", got)
+	}
+	if g.Mean[b] != 3 {
+		t.Fatalf("cell b mean = %v, want 3", g.Mean[b])
+	}
+	if _, ok := g.Aux["ratio (%)"][b]; ok {
+		t.Fatal("metric cell b never reported is present")
 	}
 }
 
@@ -313,6 +367,46 @@ func TestFaultsGridRuns(t *testing.T) {
 	}
 }
 
+// TestFaultsRepeatsAverageSeeds pins -repeats on a grid whose cells size
+// their fault plan from the trace: a Repeats: 2 cell is the mean of the
+// two single-seed runs at the seed offsets the repeats use.
+func TestFaultsRepeatsAverageSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation grid")
+	}
+	run := func(seed int64, repeats int) *Grid {
+		o := tinyOptions()
+		o.MaxRequests = 600
+		o.Seed, o.Repeats = seed, repeats
+		g, err := Faults(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	s0, s1, avg := run(0, 1), run(1000, 1), run(0, 2)
+	metrics := map[string][3]map[Cell]float64{meanMetric: {s0.Mean, s1.Mean, avg.Mean}}
+	for name := range avg.Aux {
+		metrics[name] = [3]map[Cell]float64{s0.Aux[name], s1.Aux[name], avg.Aux[name]}
+	}
+	differ := false
+	for name, m := range metrics {
+		for _, w := range avg.Workloads {
+			for _, v := range avg.Variants {
+				c := Cell{w, v}
+				want := (m[0][c] + m[1][c]) / 2
+				if got := m[2][c]; math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+					t.Errorf("%s %v: repeats=2 gives %v, mean of the seeds is %v", name, c, got, want)
+				}
+				differ = differ || m[0][c] != m[1][c]
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two seeds agree on every metric; test proves nothing")
+	}
+}
+
 func TestGridMarshalJSON(t *testing.T) {
 	g := newGrid("t", []string{"w1"}, []string{"A", "B"})
 	g.Mean[Cell{"w1", "A"}] = 10
@@ -334,7 +428,7 @@ func TestGridMarshalJSON(t *testing.T) {
 	if back.Title != "t" || len(back.Workloads) != 1 || len(back.Variants) != 2 {
 		t.Fatalf("round trip lost shape: %+v", back)
 	}
-	if back.Metrics["mean response time (µs)"]["w1"]["A"] != 10 {
+	if back.Metrics[meanMetric]["w1"]["A"] != 10 {
 		t.Fatalf("primary metric lost: %+v", back.Metrics)
 	}
 	if back.Metrics["x"]["w1"]["A"] != 1.5 {

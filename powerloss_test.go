@@ -10,11 +10,7 @@ import (
 // mid-trace instant).
 func crashTrace(t *testing.T, cfg Config, reqs int) Trace {
 	t.Helper()
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sys.GenerateWorkload("Fin1", reqs)
+	tr, err := cfg.GenerateWorkload("Fin1", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

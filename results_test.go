@@ -52,7 +52,7 @@ func TestRAID6AndRAID1SystemsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.level, err)
 		}
-		tr, err := sys.GenerateWorkload("wdev_0", 1000)
+		tr, err := cfg.GenerateWorkload("wdev_0", 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestSteeringOnRAID6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload("Fin1", 2000)
+	tr, err := cfg.GenerateWorkload("Fin1", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAblationKnobsBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload("hm_0", 800)
+	tr, err := cfg.GenerateWorkload("hm_0", 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDedicatedStagingSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload("prxy_0", 1500)
+	tr, err := cfg.GenerateWorkload("prxy_0", 1500)
 	if err != nil {
 		t.Fatal(err)
 	}

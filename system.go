@@ -330,21 +330,6 @@ func (s *System) Capacity() int64 {
 	return int64(s.arr.Layout().LogicalPages()) * int64(s.cfg.Flash.PageSize)
 }
 
-// GenerateWorkload synthesizes up to maxRequests of the named Table I
-// profile sized to this system's capacity (maxRequests <= 0 keeps the full
-// published request count).
-func (s *System) GenerateWorkload(profile string, maxRequests int) (Trace, error) {
-	p, ok := workload.ByName(profile)
-	if !ok {
-		return nil, fmt.Errorf("gcsteering: unknown profile %q (have %v)", profile, workload.Names())
-	}
-	return workload.Generate(p, workload.Options{
-		Capacity:    s.Capacity(),
-		MaxRequests: maxRequests,
-		Seed:        s.cfg.Seed + 7,
-	})
-}
-
 // submit issues one request to the array and records its response time.
 // It is a gcsvet hot-path root: it runs once per replayed request (the
 // arrival cursor calls it from inside Engine.Run), so hotalloc holds it

@@ -1,6 +1,8 @@
 package gcsteering
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gcsteering/internal/core"
@@ -76,11 +78,12 @@ func TestProfilesExposed(t *testing.T) {
 
 func TestReplayAllSchemes(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeLGC, SchemeGGC, SchemeSteering} {
-		sys, err := New(smallConfig(scheme))
+		cfg := smallConfig(scheme)
+		sys, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		tr, err := sys.GenerateWorkload("Fin1", 3000)
+		tr, err := cfg.GenerateWorkload("Fin1", 3000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +109,77 @@ func TestReplayAllSchemes(t *testing.T) {
 	}
 }
 
-func TestGenerateWorkloadUnknownProfile(t *testing.T) {
-	sys, err := New(smallConfig(SchemeLGC))
-	if err != nil {
-		t.Fatal(err)
+func TestConfigGenerateWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		profile string
+		set     func(*Config)
+		wantErr string // "" = the config's own Validate error
+	}{
+		{"unknown-profile", "nope", nil, `unknown profile "nope"`},
+		{"invalid-config", "Fin1", func(c *Config) { c.Flash.PageSize = 0 }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(SchemeLGC)
+			if tc.set != nil {
+				tc.set(&cfg)
+			}
+			want := tc.wantErr
+			if want == "" {
+				verr := cfg.Validate()
+				if verr == nil {
+					t.Fatal("config meant to be invalid passes Validate")
+				}
+				want = verr.Error()
+			}
+			tr, err := cfg.GenerateWorkload(tc.profile, 10)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("GenerateWorkload = %d records, err %v; want error containing %q", len(tr), err, want)
+			}
+		})
 	}
-	if _, err := sys.GenerateWorkload("nope", 10); err == nil {
-		t.Fatal("unknown profile accepted")
+}
+
+// TestDeadlineSettlesExactlyOnce covers Config.DeadlineUs at the System
+// level: every request settles exactly once whether it completes or is
+// cancelled at its deadline, the cancellations are counted, and no
+// recorded response time exceeds the deadline.
+func TestDeadlineSettlesExactlyOnce(t *testing.T) {
+	for _, deadlineUs := range []float64{500, 2000} {
+		t.Run(fmt.Sprintf("%gus", deadlineUs), func(t *testing.T) {
+			cfg := smallConfig(SchemeLGC)
+			cfg.DeadlineUs = deadlineUs
+			tr, err := cfg.GenerateWorkload("HPC_W", 3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settled := make([]int, len(tr))
+			sys.ObserveRequests(func(seq int64, _ int64, _ bool) {
+				if seq < 0 || seq >= int64(len(tr)) {
+					t.Fatalf("seq %d outside the %d-record trace", seq, len(tr))
+				}
+				settled[seq]++
+			})
+			res, err := sys.Replay(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range settled {
+				if n != 1 {
+					t.Fatalf("trace index %d settled %d times", i, n)
+				}
+			}
+			if res.Robust.DeadlineExceeded == 0 {
+				t.Fatal("no request hit the deadline; test proves nothing")
+			}
+			if limit := int64(deadlineUs * 1000); res.Latency.Max > limit {
+				t.Fatalf("max latency %d ns exceeds the %d ns deadline", res.Latency.Max, limit)
+			}
+		})
 	}
 }
 
@@ -145,11 +212,12 @@ func TestReplayRejectsEmptyAndInvalid(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := New(smallConfig(SchemeLGC))
+			cfg := smallConfig(SchemeLGC)
+			sys, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := sys.GenerateWorkload("hm_0", 100)
+			tr, err := cfg.GenerateWorkload("hm_0", 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +245,7 @@ func TestReplayDuringRebuildBothTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("hm_0", 2000)
+		tr, err := cfg.GenerateWorkload("hm_0", 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +312,7 @@ func TestReplayDuringRebuildValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := sys.GenerateWorkload("hm_0", 100)
+			tr, err := cfg.GenerateWorkload("hm_0", 100)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +333,7 @@ func TestReplayDuringRebuildBusyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.GenerateWorkload("hm_0", 1000)
+	tr, err := cfg.GenerateWorkload("hm_0", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +357,12 @@ func TestReplayDuringRebuildBusyWindow(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() float64 {
-		sys, err := New(smallConfig(SchemeSteering))
+		cfg := smallConfig(SchemeSteering)
+		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := sys.GenerateWorkload("mds_0", 2000)
+		tr, err := cfg.GenerateWorkload("mds_0", 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +396,7 @@ func TestReclaimFirstBeforeParallelRebuild(t *testing.T) {
 	if sys.steer.DTable().WriteLen() == 0 {
 		t.Skip("no writes were staged in this layout; nothing to exercise")
 	}
-	tr, err := sys.GenerateWorkload("wdev_0", 500)
+	tr, err := smallConfig(SchemeSteering).GenerateWorkload("wdev_0", 500)
 	if err != nil {
 		t.Fatal(err)
 	}
