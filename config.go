@@ -113,23 +113,12 @@ type Config struct {
 	// an identical array geometry (the paper compares schemes on the same
 	// number of SSDs).
 	ReservedFrac float64
-	// StagingReadFrac splits the staging capacity between hot-read copies
-	// and redirected write data.
-	StagingReadFrac float64
 	// HotFrac caps the popular-read set per disk (paper: 10%).
 	HotFrac float64
 	// MigrateHotReads and ReclaimMerge toggle the corresponding
 	// GC-Steering mechanisms (both on in the paper; ablation knobs here).
 	MigrateHotReads bool
 	ReclaimMerge    bool
-	// MigrateThreshold is how many recent re-reads mark a page popular
-	// enough to migrate (0 defaults to 2).
-	MigrateThreshold int
-	// ScanThresholdPages makes popularity tracking scan-resistant: reads
-	// larger than this many pages per member disk are treated as scans and
-	// never migrated (0 defaults to 8 — below the stripe unit, so full-unit
-	// sub-ops of a large striped read are filtered).
-	ScanThresholdPages int
 	// ColdStreamStaging places the reserved staging region on a separate
 	// FTL write stream (multi-stream style hot/cold separation). Off by
 	// default; exposed for ablation studies.
@@ -154,12 +143,10 @@ type Config struct {
 	// ScrubMBps enables the patrol scrubber at this array-wide read
 	// bandwidth cap (MB/s): a background walker verifies every stripe
 	// against the seeded defects and repairs bad units in place from
-	// redundancy. <= 0 disables scrubbing.
+	// redundancy, finishing after one full pass so runs always terminate.
+	// <= 0 disables scrubbing.
 	//gcsvet:inert
 	ScrubMBps float64
-	// ScrubPasses is the number of full patrol passes per run (<= 0
-	// defaults to 1; passes are finite so runs always terminate).
-	ScrubPasses int
 
 	// DeadlineUs cancels a user request that has not completed within this
 	// many microseconds of simulated time: its queued sub-ops are absorbed
@@ -171,12 +158,9 @@ type Config struct {
 	// MaxRetries bounds re-issues of a read sub-op that hits a transient
 	// read error (FaultPlan.TransientReadErrorRate). 0 gives up on the
 	// first error (it is absorbed, not surfaced, mirroring drive-internal
-	// retry exhaustion).
+	// retry exhaustion). The first retry waits 200 µs, doubling per attempt.
 	//gcsvet:inert
 	MaxRetries int
-	// RetryBackoffUs is the base delay before the first retry; it doubles
-	// per attempt. 0 with MaxRetries > 0 defaults to 200 µs.
-	RetryBackoffUs float64
 	// QueueLimit caps concurrently admitted user requests: beyond it the
 	// array sheds background load first (hot-read migrations, scrub pacing)
 	// and then rejects arrivals outright (Results.Robust.Rejected). <= 0
@@ -207,18 +191,10 @@ type Config struct {
 	Flash   FlashGeometry
 	Latency LatencyModel
 	// GCLowWater/GCHighWater are the free-block watermarks (in blocks)
-	// that trigger and terminate a GC episode. ForcedGCVictims is the
-	// minimum work a GGC-forced episode performs.
-	GCLowWater      int
-	GCHighWater     int
-	ForcedGCVictims int
-	// GCOverheadMs is the fixed per-invocation GC cost in milliseconds
-	// charged to all channels at episode start.
-	GCOverheadMs float64
+	// that trigger and terminate a GC episode.
+	GCLowWater  int
+	GCHighWater int
 
-	// PrefillOverwrite controls warm-up: after filling the device, this
-	// fraction of its pages is overwritten so steady-state GC has victims.
-	PrefillOverwrite float64
 	// Seed makes the whole simulation deterministic.
 	Seed int64
 
@@ -382,7 +358,6 @@ func DefaultConfig() Config {
 		Scheme:          SchemeSteering,
 		Staging:         StagingReserved,
 		ReservedFrac:    0.20,
-		StagingReadFrac: 0.3,
 		HotFrac:         0.10,
 		MigrateHotReads: true,
 		ReclaimMerge:    true,
@@ -392,16 +367,23 @@ func DefaultConfig() Config {
 		// produces the pronounced tail latencies the paper measures.
 		GCLowWater:  g.Channels,
 		GCHighWater: 3 * g.Channels,
-		// A GGC-forced episode collects a couple of blocks without refilling
-		// the free pool, so every member's own trigger still launches a
-		// global round (the mechanism behind GGC's inflated GC counts), and
-		// each GC invocation pays a fixed entry cost.
-		ForcedGCVictims:  2,
-		GCOverheadMs:     4,
-		PrefillOverwrite: 0.5,
-		Seed:             1,
+		Seed:        1,
 	}
 }
+
+// The calibrated constants of the simulated setup. Every experiment runs
+// with these values, so they are not Config knobs.
+const (
+	// stagingReadFrac splits the staging capacity between hot-read copies
+	// and redirected write data.
+	stagingReadFrac = 0.3
+	// gcOverhead is the fixed per-invocation GC cost charged to all
+	// channels at episode start (every GGC-forced round pays it too).
+	gcOverhead = 4 * sim.Millisecond
+	// prefillOverwrite controls warm-up: after filling a member, this
+	// fraction of its pages is overwritten so steady-state GC has victims.
+	prefillOverwrite = 0.5
+)
 
 // Validate reports configuration errors beyond what the subsystems check.
 func (c Config) Validate() error {
@@ -415,7 +397,7 @@ func (c Config) Validate() error {
 	if c.StripeUnitKB <= 0 || (c.StripeUnitKB*1024)%c.Flash.PageSize != 0 {
 		return fmt.Errorf("gcsteering: StripeUnitKB %d not a page multiple", c.StripeUnitKB)
 	}
-	if c.ReservedFrac < 0 || c.ReservedFrac > 0.5 {
+	if !(c.ReservedFrac >= 0 && c.ReservedFrac <= 0.5) { // rejects NaN too
 		return fmt.Errorf("gcsteering: ReservedFrac %v outside [0, 0.5]", c.ReservedFrac)
 	}
 	if c.Scheme == SchemeSteering && c.Staging == StagingReserved && c.ReservedFrac == 0 {
@@ -429,9 +411,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("gcsteering: MaxRetries %d negative", c.MaxRetries)
-	}
-	if c.RetryBackoffUs < 0 || math.IsNaN(c.RetryBackoffUs) || math.IsInf(c.RetryBackoffUs, 0) {
-		return fmt.Errorf("gcsteering: RetryBackoffUs %v invalid", c.RetryBackoffUs)
 	}
 	if c.HedgedReads && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: HedgedReads needs RAID5/6 parity (level %v)", c.Level)
@@ -488,12 +467,11 @@ func (c Config) GenerateWorkload(profile string, maxRequests int) (Trace, error)
 // members, the dedicated spare, and fault-plan replacements.
 func (c Config) deviceConfig() ssd.Config {
 	return ssd.Config{
-		Geometry:        c.Flash,
-		Latency:         c.Latency,
-		GCLowWater:      c.GCLowWater,
-		GCHighWater:     c.GCHighWater,
-		ForcedGCVictims: c.ForcedGCVictims,
-		GCOverhead:      sim.Time(c.GCOverheadMs * float64(sim.Millisecond)),
+		Geometry:    c.Flash,
+		Latency:     c.Latency,
+		GCLowWater:  c.GCLowWater,
+		GCHighWater: c.GCHighWater,
+		GCOverhead:  gcOverhead,
 	}
 }
 

@@ -115,10 +115,10 @@ func (r *chaosRand) pick(candidates []int, k int) []int {
 // intra-array slowdown storms. taken marks arrays that already carry an
 // explicit fault and must not be crashed again; disks is the per-array
 // member count a storm fans out over.
-func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) ([]ArrayFault, []LinkSlowdown, [][]gcsteering.DiskSlowdown) {
+func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) ([]ArrayFault, []linkSlowdown, [][]gcsteering.DiskSlowdown) {
 	rng := &chaosRand{s: uint64(p.Seed) ^ 0x6368616f732d7631}
 	var faults []ArrayFault
-	var links []LinkSlowdown
+	var links []linkSlowdown
 	storms := make([][]gcsteering.DiskSlowdown, arrays)
 
 	if p.Crashes > 0 {
@@ -150,7 +150,7 @@ func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) (
 		durMs = horizonMs / 4
 	}
 	for i := 0; i < p.LinkSlowdowns; i++ {
-		links = append(links, LinkSlowdown{
+		links = append(links, linkSlowdown{
 			Array:      rng.intn(arrays),
 			StartMs:    horizonMs * (0.1 + 0.6*rng.float()),
 			DurationMs: durMs,

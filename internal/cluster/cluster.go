@@ -118,7 +118,7 @@ type Tenant struct {
 	// each volume is placed independently on the ring (0 = 1).
 	Volumes int
 	// BudgetPerWindow overrides the admission budget: requests admitted
-	// per tenant per budget window. > 0 sets it, < 0 means unlimited,
+	// per tenant per 10 ms budget window. > 0 sets it, < 0 means unlimited,
 	// 0 uses the QoS default.
 	BudgetPerWindow int
 }
@@ -143,12 +143,17 @@ func (t Tenant) budget() int {
 	}
 }
 
+const (
+	// ringVNodes is the virtual nodes per array on the placement ring.
+	ringVNodes = 64
+	// budgetWindow is the admission window of Tenant.BudgetPerWindow.
+	budgetWindow = 10 * sim.Millisecond
+)
+
 // Config describes one fleet simulation.
 type Config struct {
 	// Arrays is the fleet size: one independent System (engine) each.
 	Arrays int
-	// VNodes is the virtual nodes per array on the placement ring (0 = 64).
-	VNodes int
 	// Policy selects hash-only or GC-aware routing.
 	Policy Policy
 	// Workers bounds the shard worker pool (0 = GOMAXPROCS). The worker
@@ -165,8 +170,6 @@ type Config struct {
 	// ("tenant/vol" -> array index). It is consulted per lookup and never
 	// iterated, so it cannot leak map order into results.
 	Directory map[string]int
-	// BudgetWindowMs is the admission window length (0 = 10 ms).
-	BudgetWindowMs float64
 	// FaultArrays lists arrays that replay under Fault (fault injection /
 	// rebuild); the rest run healthy.
 	FaultArrays []int
@@ -196,8 +199,6 @@ type Config struct {
 	Migrations []Migration
 	// MigrateMBps caps migration copy streams (0 = RereplicateMBps).
 	MigrateMBps float64
-	// LinkFaults degrade the replication link into specific arrays.
-	LinkFaults []LinkSlowdown
 	// ResyncMBps models the crash-consistency resync a recovering array
 	// must run before serving again: a timed-crash array stays down past
 	// its nominal recovery instant for resyncBytes / ResyncMBps, where the
@@ -225,26 +226,11 @@ type Config struct {
 	Trace io.Writer
 }
 
-func (c Config) vnodes() int {
-	if c.VNodes <= 0 {
-		return 64
-	}
-	return c.VNodes
-}
-
 func (c Config) workers() int {
 	if c.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Workers
-}
-
-func (c Config) windowNs() int64 {
-	ms := c.BudgetWindowMs
-	if ms <= 0 {
-		ms = 10
-	}
-	return int64(ms * float64(sim.Millisecond))
 }
 
 // failoverDelayMs resolves the crash-detection gap (default 2 ms).
@@ -287,11 +273,6 @@ func (c Config) deadlineNs() int64 {
 func (c Config) Validate() error {
 	if c.Arrays < 2 {
 		return fmt.Errorf("cluster: Arrays %d too few (need >= 2 for replica placement)", c.Arrays)
-	}
-	if c.VNodes < 0 {
-		// 0 means "use the default"; an explicit negative count would build
-		// an empty placement ring whose lookups could never spread keys.
-		return fmt.Errorf("cluster: VNodes %d negative (0 selects the default of 64)", c.VNodes)
 	}
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("cluster: no tenants")
@@ -337,11 +318,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: array %d has more than one whole-array fault", f.Array)
 		}
 		seenFault[f.Array] = true
-	}
-	for _, l := range c.LinkFaults {
-		if l.Array < 0 || l.Array >= c.Arrays {
-			return fmt.Errorf("cluster: LinkFaults entry %d out of range [0,%d)", l.Array, c.Arrays)
-		}
 	}
 	for _, m := range c.Migrations {
 		ti := -1
@@ -522,10 +498,10 @@ func (c Config) admit(capacity int64, tr *obs.Tracer) ([]placedReq, []int64, err
 	})
 
 	// Windowed admission: each tenant may admit budget() requests per
-	// BudgetWindowMs window; the rest are shed before routing. The budget
-	// is policy-independent so a hash-vs-steering comparison isolates the
+	// budgetWindow; the rest are shed before routing. The budget is
+	// policy-independent so a hash-vs-steering comparison isolates the
 	// routing decision.
-	windowNs := c.windowNs()
+	windowNs := int64(budgetWindow)
 	shed := make([]int64, len(c.Tenants))
 	lastWin := make([]int64, len(c.Tenants))
 	inWin := make([]int, len(c.Tenants))

@@ -91,7 +91,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"one array", func(c *Config) { c.Arrays = 1 }},
 		{"zero arrays", func(c *Config) { c.Arrays = 0 }},
-		{"negative vnodes", func(c *Config) { c.VNodes = -1 }},
 		{"no tenants", func(c *Config) { c.Tenants = nil }},
 		{"bad profile", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "nope", Requests: 1}} }},
 		{"no requests", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "Fin1"}} }},

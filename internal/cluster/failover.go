@@ -39,10 +39,10 @@ type ArrayFault struct {
 // permanent reports whether the array never comes back.
 func (f ArrayFault) permanent() bool { return f.DowntimeMs <= 0 }
 
-// LinkSlowdown degrades the replication link into one array: replica and
+// linkSlowdown degrades the replication link into one array: replica and
 // mirror legs targeting Array pay ExtraUs on top of the base link latency
 // while the window is open.
-type LinkSlowdown struct {
+type linkSlowdown struct {
 	Array      int
 	StartMs    float64
 	DurationMs float64
@@ -194,7 +194,7 @@ type shardRec struct {
 // plans the shards replay under.
 type effectivePlan struct {
 	faults []ArrayFault
-	links  []LinkSlowdown
+	links  []linkSlowdown
 	plans  []gcsteering.FaultPlan
 }
 
@@ -207,7 +207,6 @@ func (c Config) resolve(admitted []placedReq) (effectivePlan, error) {
 		e.plans[a] = c.Fault
 	}
 	e.faults = append([]ArrayFault(nil), c.ArrayFaults...)
-	e.links = append([]LinkSlowdown(nil), c.LinkFaults...)
 	if c.Chaos.Enabled() {
 		horizonMs := c.Chaos.HorizonMs
 		if horizonMs <= 0 {
@@ -297,7 +296,7 @@ type router struct {
 // chaos — the regime all pre-existing steering behavior was pinned in.
 func (c Config) legacyRouting() bool {
 	return !c.ReplicateWrites && len(c.ArrayFaults) == 0 && len(c.Migrations) == 0 &&
-		len(c.LinkFaults) == 0 && !c.Chaos.Enabled()
+		!c.Chaos.Enabled()
 }
 
 // newRouter builds the volume table (in tenant-then-volume order — never
@@ -307,7 +306,7 @@ func newRouter(c *Config, eff effectivePlan, capacity int64) *router {
 		c:        c,
 		eff:      eff,
 		capacity: capacity,
-		ringP:    newRing(c.Arrays, c.vnodes()),
+		ringP:    newRing(c.Arrays, ringVNodes),
 		legacy:   c.legacyRouting(),
 		down:     make([]bool, c.Arrays),
 		downAt:   make([]sim.Time, c.Arrays),
@@ -736,7 +735,7 @@ func (rt *router) startJob(v *volState, kind, from, to int, bytes int64, mirror 
 }
 
 // linkDelayNs is the replication-link latency into array at instant t:
-// the configured base plus any open LinkSlowdown windows.
+// the configured base plus any open linkSlowdown windows.
 func (rt *router) linkDelayNs(array int, t sim.Time) int64 {
 	d := rt.linkNs
 	for _, l := range rt.eff.links {

@@ -253,7 +253,7 @@ func TestReclaimMergesContiguousRuns(t *testing.T) {
 func TestHotReadMigrationAndGCDodge(t *testing.T) {
 	r := newRig(t, "reserved", DefaultConfig())
 	homeDisk, homePage := r.homeOf(0)
-	// Three reads make the page popular (MigrateThreshold=2 prior hits);
+	// Three reads make the page popular (migrateThreshold=2 prior hits);
 	// the third migrates it.
 	for i := 0; i < 3; i++ {
 		r.arr.Read(r.eng.Now(), 0, 1, nil)

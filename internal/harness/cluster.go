@@ -68,32 +68,40 @@ func clusterConfig(o Options, sc clusterScenario, policy cluster.Policy) cluster
 	if sc.lgc {
 		base.Scheme = gcsteering.SchemeLGC
 	}
-	perTenant := o.maxRequests() / clusterTenants
-	if perTenant < 40 {
-		perTenant = 40
-	}
-	qos := []cluster.QoS{cluster.Gold, cluster.Silver, cluster.Bronze}
-	tenants := make([]cluster.Tenant, clusterTenants)
-	for i := range tenants {
-		tenants[i] = cluster.Tenant{
-			Name:         fmt.Sprintf("t%02d", i),
-			Profile:      sc.profiles[i%len(sc.profiles)],
-			QoS:          qos[i%len(qos)],
-			Requests:     perTenant,
-			ArrivalScale: sc.scale * (1 + 0.25*float64(i%3)),
-			Volumes:      1 + i%2,
-		}
-	}
 	return cluster.Config{
 		Arrays:      clusterArrays,
 		Policy:      policy,
 		Workers:     o.workers(),
 		Seed:        o.Seed,
 		Base:        base,
-		Tenants:     tenants,
+		Tenants:     fleetTenants(o, clusterTenants, sc.profiles, sc.scale),
 		FaultArrays: sc.faults,
 		Fault:       sc.plan,
 	}
+}
+
+// fleetTenants builds the n tenants of a harness fleet: profiles and QoS
+// classes assigned round-robin, an equal share of the request budget (at
+// least 40 each), one or two volumes, and arrival rates staggered
+// ×(1+0.25·(i%3)) on top of scale.
+func fleetTenants(o Options, n int, profiles []string, scale float64) []cluster.Tenant {
+	perTenant := o.maxRequests() / n
+	if perTenant < 40 {
+		perTenant = 40
+	}
+	qos := []cluster.QoS{cluster.Gold, cluster.Silver, cluster.Bronze}
+	tenants := make([]cluster.Tenant, n)
+	for i := range tenants {
+		tenants[i] = cluster.Tenant{
+			Name:         fmt.Sprintf("t%02d", i),
+			Profile:      profiles[i%len(profiles)],
+			QoS:          qos[i%len(qos)],
+			Requests:     perTenant,
+			ArrivalScale: scale * (1 + 0.25*float64(i%3)),
+			Volumes:      1 + i%2,
+		}
+	}
+	return tenants
 }
 
 // Cluster runs the fleet-scale grid: three scenarios × {hash-only,

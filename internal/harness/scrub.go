@@ -21,7 +21,7 @@ import (
 // every URE comes from the deterministic seeded defect sets and the
 // scrub/no-scrub comparison is exact, not statistical.
 func Scrub(o Options) (*Grid, error) {
-	scrub := func(c *gcsteering.Config) { c.ScrubPasses = 1 } // prepare sizes ScrubMBps
+	scrub := func(c *gcsteering.Config) { c.ScrubMBps = 1 } // marks the variant; prepare sizes the cap
 	hedge := func(c *gcsteering.Config) { c.HedgedReads = true }
 	variants := []variant{
 		{"baseline", func(*gcsteering.Config) {}},
@@ -52,7 +52,7 @@ func Scrub(o Options) (*Grid, error) {
 					RebuildMBps:     diskBytes / 1e6 / (dur * 0.40),
 					RebuildTarget:   gcsteering.RebuildToSpare,
 				}
-				if cfg.ScrubPasses > 0 {
+				if cfg.ScrubMBps > 0 {
 					arrayBytes := diskBytes * float64(cfg.Disks)
 					cfg.ScrubMBps = arrayBytes / 1e6 / (dur * 0.35)
 				}

@@ -57,6 +57,10 @@ func must(err error) {
 	}
 }
 
+// retryBackoff is the delay before the first retry of a transient read
+// error (Array.MaxRetries).
+const retryBackoff = 200 * sim.Microsecond
+
 // OpKind labels a sub-operation so routing policies (the GC-Steering
 // redirector) can tell user data traffic from parity maintenance and
 // recovery traffic.
@@ -213,11 +217,9 @@ type Array struct {
 
 	// MaxRetries bounds transparent retries of read sub-ops that fail
 	// transiently (TransientFaulty). Zero disables retries: a transient
-	// error is simply delivered as a completed (slow) read.
+	// error is simply delivered as a completed (slow) read. The first
+	// retry waits retryBackoff, doubling on each subsequent attempt.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling on each
-	// subsequent attempt. Zero with MaxRetries > 0 retries immediately.
-	RetryBackoff sim.Time
 	// QueueLimit caps concurrently in-flight user requests; Read/Write
 	// return ErrOverloaded beyond it. Zero means unlimited.
 	QueueLimit int
@@ -499,7 +501,7 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 			}
 			return
 		}
-		backoff := a.RetryBackoff << attempt
+		backoff := retryBackoff << attempt
 		a.stats.Retries++
 		if a.Trace.Enabled() {
 			a.Trace.Emit(t, obs.Event{Kind: obs.KRetry, Dev: int32(op.Disk),

@@ -51,11 +51,6 @@ type Config struct {
 	// rare long pauses.
 	GCLowWater  int
 	GCHighWater int
-	// ForcedGCVictims is the minimum number of blocks a ForceGC episode
-	// collects even when free space is plentiful (GGC forces devices to
-	// collect "no matter how much free space is available in them").
-	// Defaults to 2 when zero.
-	ForcedGCVictims int
 	// GCOverhead is the fixed cost of entering a GC episode (FTL metadata
 	// scans, internal pipeline drain) charged to every channel at episode
 	// start, independent of how much data the episode moves. It is what
@@ -420,6 +415,11 @@ func (d *Device) Trim(lpn, pages int) error {
 	return nil
 }
 
+// forcedGCVictims is the number of blocks a ForceGC episode collects even
+// when free space is plentiful (GGC forces devices to collect "no matter
+// how much free space is available in them").
+const forcedGCVictims = 2
+
 // ForceGC starts a garbage-collection episode even when free space is above
 // the low watermark. The GGC policy invokes it on every device of an array
 // whenever any one device begins collecting. It is a no-op when an episode
@@ -428,16 +428,12 @@ func (d *Device) ForceGC(now sim.Time) {
 	if d.InGC(now) {
 		return
 	}
-	min := d.cfg.ForcedGCVictims
-	if min <= 0 {
-		min = 2
-	}
 	// A forced episode collects a fixed amount of garbage and stops: it
 	// does not refill the free pool to the high watermark, so the device's
 	// own natural GC schedule is unchanged. Under GC-frequent workloads
 	// every device's natural trigger launches a global round, which is what
 	// makes GGC's total GC count balloon (the paper's Fig. 7b).
-	d.startGC(now, 0, min, true)
+	d.startGC(now, 0, forcedGCVictims, true)
 }
 
 // startGC plans a collection episode and charges its time to the channels.

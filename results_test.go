@@ -109,8 +109,6 @@ func TestAblationKnobsBuild(t *testing.T) {
 	cfg := smallConfig(SchemeSteering)
 	cfg.MigrateHotReads = false
 	cfg.ReclaimMerge = false
-	cfg.MigrateThreshold = 5
-	cfg.ScanThresholdPages = 4
 	cfg.ColdStreamStaging = true
 	cfg.DisableGCAwareWrites = true
 	sys, err := New(cfg)

@@ -164,7 +164,7 @@ func New(cfg Config) (*System, error) {
 		}
 		d.Trace = cfg.Trace
 		//lint:allow nodeterm per-device prefill stream seeded from the root stream, stable in loop order
-		d.Prefill(rand.New(rand.NewSource(rng.Int63())), cfg.PrefillOverwrite, cfg.diskPages())
+		d.Prefill(rand.New(rand.NewSource(rng.Int63())), prefillOverwrite, cfg.diskPages())
 		s.devs = append(s.devs, d)
 		s.disks = append(s.disks, d)
 	}
@@ -196,11 +196,9 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		st, err := core.New(s.eng, arr, staging, core.Config{
-			HotFrac:            cfg.HotFrac,
-			MigrateHotReads:    cfg.MigrateHotReads,
-			ReclaimMerge:       cfg.ReclaimMerge,
-			MigrateThreshold:   cfg.MigrateThreshold,
-			ScanThresholdPages: cfg.ScanThresholdPages,
+			HotFrac:         cfg.HotFrac,
+			MigrateHotReads: cfg.MigrateHotReads,
+			ReclaimMerge:    cfg.ReclaimMerge,
 		})
 		if err != nil {
 			return nil, err
@@ -225,11 +223,6 @@ func New(cfg Config) (*System, error) {
 	// fail-slow health monitor. All of it is inert (and byte-identical to a
 	// run without it) until a fault plan or queue pressure exercises it.
 	arr.MaxRetries = cfg.MaxRetries
-	backoff := sim.Time(cfg.RetryBackoffUs * float64(sim.Microsecond))
-	if cfg.MaxRetries > 0 && backoff == 0 {
-		backoff = 200 * sim.Microsecond
-	}
-	arr.RetryBackoff = backoff
 	arr.QueueLimit = cfg.QueueLimit
 	if cfg.QueueLimit > 0 && s.steer != nil {
 		s.steer.Pressure = arr.UnderPressure
@@ -293,13 +286,13 @@ func (s *System) buildStaging(rng *rand.Rand) (core.Staging, error) {
 	case StagingReserved:
 		reserved := s.cfg.Flash.LogicalPages() - s.cfg.diskPages()
 		reserved -= s.rebuildReservePages()
-		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, s.cfg.StagingReadFrac)
+		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, stagingReadFrac)
 	case StagingDedicated:
 		spare, err := s.ensureSpare(rng.Int63())
 		if err != nil {
 			return nil, err
 		}
-		return core.NewDedicatedStaging(spare, s.cfg.StagingReadFrac)
+		return core.NewDedicatedStaging(spare, stagingReadFrac)
 	default:
 		return nil, fmt.Errorf("gcsteering: unknown staging kind %v", s.cfg.Staging)
 	}
@@ -479,15 +472,12 @@ func (s *System) settleRequest(now sim.Time, seq, d int64, isWrite, record, degr
 
 // startScrub launches the patrol scrubber when the config enables it
 // (Config.ScrubMBps > 0). It runs alongside the replayed workload, paced by
-// its bandwidth cap, and finishes after Config.ScrubPasses full passes.
+// its bandwidth cap, and finishes after one full pass.
 func (s *System) startScrub() error {
 	if s.cfg.ScrubMBps <= 0 {
 		return nil
 	}
-	sc, err := scrub.New(s.eng, s.arr, scrub.Config{
-		MBps:   s.cfg.ScrubMBps,
-		Passes: s.cfg.ScrubPasses,
-	}, s.cfg.Flash.PageSize)
+	sc, err := scrub.New(s.eng, s.arr, scrub.Config{MBps: s.cfg.ScrubMBps}, s.cfg.Flash.PageSize)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package gcsteering
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,27 @@ func TestConfigValidation(t *testing.T) {
 	bad.ReservedFrac = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("reserved staging without reservation accepted")
+	}
+}
+
+// TestConfigRejectsNaNFractions pins that a NaN fraction is a config
+// error naming the field: NaN fails every ordered comparison, so a range
+// check written as "v < lo || v > hi" lets it through to sizing code.
+func TestConfigRejectsNaNFractions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(c *Config)
+	}{
+		{"ReservedFrac", func(c *Config) { c.ReservedFrac = math.NaN() }},
+		{"HotFrac", func(c *Config) { c.HotFrac = math.NaN() }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := smallConfig(SchemeSteering)
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("New: err = %v, want a %s error", err, tc.field)
+			}
+		})
 	}
 }
 
