@@ -1,11 +1,22 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"encoding/gob"
+	"testing"
+)
+
+// testDisks and testPages size the standalone tables like the steering
+// rig's reserved-staging array: 5 members of 1,296 home pages.
+const (
+	testDisks = 5
+	testPages = 1296
+)
 
 func k(d, p int32) PageKey { return PageKey{Disk: d, Page: p} }
 
 func TestDTableBasics(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	if dt.Len() != 0 || dt.WriteLen() != 0 {
 		t.Fatal("fresh table not empty")
 	}
@@ -27,7 +38,7 @@ func TestDTableBasics(t *testing.T) {
 }
 
 func TestDTableGenBumpsOnReplace(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	dt.Put(k(0, 5), StageLoc{Dev0: 1, Page0: 1, Dev1: NoMirror}, false)
 	e := dt.Put(k(0, 5), StageLoc{Dev0: 2, Page0: 2, Dev1: NoMirror}, true)
 	if e.Gen != 2 {
@@ -44,7 +55,7 @@ func TestDTableGenBumpsOnReplace(t *testing.T) {
 }
 
 func TestDTableDelete(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	dt.Put(k(1, 2), StageLoc{Dev1: NoMirror}, true)
 	dt.Delete(k(1, 2))
 	if dt.Len() != 0 || dt.WriteLen() != 0 {
@@ -54,7 +65,7 @@ func TestDTableDelete(t *testing.T) {
 }
 
 func TestWriteRunsMerging(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	loc := StageLoc{Dev1: NoMirror}
 	// Disk 0: pages 10,11,12 and 20. Disk 1: page 5. A read entry at 13
 	// must not extend the run.
@@ -85,14 +96,14 @@ func TestWriteRunsMerging(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	dt.Put(k(0, 1), StageLoc{Dev0: 1, Page0: 11, Dev1: 2, Page1: 22}, true)
 	dt.Put(k(3, 4), StageLoc{Dev0: 0, Page0: 7, Dev1: NoMirror}, false)
 	blob, err := dt.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewDTable()
+	restored := NewDTable(testDisks, testPages)
 	if err := restored.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +120,154 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestForEachVisitsAll(t *testing.T) {
-	dt := NewDTable()
+	dt := NewDTable(testDisks, testPages)
 	dt.Put(k(0, 1), StageLoc{Dev1: NoMirror}, true)
 	dt.Put(k(0, 2), StageLoc{Dev1: NoMirror}, false)
 	n := 0
 	dt.ForEach(func(PageKey, Entry) { n++ })
 	if n != 2 {
 		t.Fatalf("visited %d", n)
+	}
+}
+
+// TestForEachOrderAndDeleteDuringWalk pins ForEach's contract: entries
+// come in (disk, page) order whatever the insertion order, and an entry
+// deleted by the callback before the walk reaches it is not visited (the
+// map-iteration rule the steering walks rely on).
+func TestForEachOrderAndDeleteDuringWalk(t *testing.T) {
+	dt := NewDTable(testDisks, testPages)
+	loc := StageLoc{Dev1: NoMirror}
+	for _, key := range []PageKey{k(2, 0), k(0, 700), k(0, 5), k(0, 3), k(4, testPages-1), k(0, 64), k(2, 63)} {
+		dt.Put(key, loc, true)
+	}
+	var got []PageKey
+	dt.ForEach(func(key PageKey, _ Entry) { got = append(got, key) })
+	want := []PageKey{k(0, 3), k(0, 5), k(0, 64), k(0, 700), k(2, 0), k(2, 63), k(4, testPages-1)}
+	if !equalKeys(got, want) {
+		t.Fatalf("ForEach order %v, want %v", got, want)
+	}
+
+	// Visiting (0,3) deletes itself, a later key in the same bitset word
+	// and keys in later words; visiting (2,0) rewrites itself in place.
+	got = got[:0]
+	dt.ForEach(func(key PageKey, e Entry) {
+		got = append(got, key)
+		switch key {
+		case k(0, 3):
+			dt.Delete(k(0, 3))
+			dt.Delete(k(0, 5))
+			dt.Delete(k(0, 64))
+			dt.Delete(k(2, 63))
+		case k(2, 0):
+			dt.Put(key, StageLoc{Dev0: 9, Dev1: NoMirror}, false)
+		}
+	})
+	want = []PageKey{k(0, 3), k(0, 700), k(2, 0), k(4, testPages-1)}
+	if !equalKeys(got, want) {
+		t.Fatalf("ForEach with deletes visited %v, want %v", got, want)
+	}
+	if dt.Len() != 3 || dt.WriteLen() != 2 || dt.WriteLenOn(2) != 0 {
+		t.Fatalf("Len=%d WriteLen=%d WriteLenOn(2)=%d after walk", dt.Len(), dt.WriteLen(), dt.WriteLenOn(2))
+	}
+}
+
+func equalKeys(a, b []PageKey) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDTableKeyRange: a key outside [0,disks)×[0,pages) is a miss for Get
+// and Delete, a panic for Put, and an error for Restore that leaves the
+// table unchanged.
+func TestDTableKeyRange(t *testing.T) {
+	dt := NewDTable(testDisks, testPages)
+	dt.Put(k(1, 1), StageLoc{Dev1: NoMirror}, true)
+	for _, key := range []PageKey{k(testDisks, 0), k(0, testPages), k(-1, 0), k(0, -1), k(9, 1<<30)} {
+		if _, ok := dt.Get(key); ok {
+			t.Fatalf("Get(%v) hit", key)
+		}
+		dt.Delete(key)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Put(%v) did not panic", key)
+				}
+			}()
+			dt.Put(key, StageLoc{Dev1: NoMirror}, true)
+		}()
+	}
+	blob := encodeRecords(t, []snapshotRecord{
+		{Key: k(0, 5), Entry: Entry{Loc: StageLoc{Dev1: NoMirror}, Write: true, Gen: 1}},
+		{Key: k(9, 1<<30), Entry: Entry{Loc: StageLoc{Dev1: NoMirror}, Write: true, Gen: 1}},
+	})
+	if err := dt.Restore(blob); err == nil {
+		t.Fatal("snapshot keyed outside the array restored")
+	}
+	if _, ok := dt.Get(k(1, 1)); !ok || dt.Len() != 1 || dt.WriteLen() != 1 {
+		t.Fatalf("rejected restore changed the table: Len=%d WriteLen=%d", dt.Len(), dt.WriteLen())
+	}
+}
+
+// encodeRecords builds a snapshot blob from raw records, bypassing Put's
+// key check, as a corrupt or foreign NVRAM image would.
+func encodeRecords(t *testing.T, recs []snapshotRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDTableHotPathZeroAlloc pins the bitset front of D_Table: a Get or
+// Delete that misses and the reclaimer's FirstWriteRunFor allocate
+// nothing.
+func TestDTableHotPathZeroAlloc(t *testing.T) {
+	dt := NewDTable(testDisks, testPages)
+	for p := int32(100); p < 140; p++ {
+		dt.Put(k(1, p), StageLoc{Dev1: NoMirror}, p%7 != 0)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for p := int32(0); p < 100; p++ {
+			if _, ok := dt.Get(k(2, p)); ok {
+				t.Fatal("phantom entry")
+			}
+			dt.Delete(k(3, p))
+		}
+		if run, ok := dt.FirstWriteRunFor(1, true); !ok || run.Page != 100 || run.Pages != 5 {
+			t.Fatalf("FirstWriteRunFor = %+v, %v", run, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("D_Table miss path allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRLRURemoveUntrackedZeroAlloc: the write path removes every written
+// page from R_LRU, and almost none are tracked; that Remove allocates
+// nothing.
+func TestRLRURemoveUntrackedZeroAlloc(t *testing.T) {
+	r := NewRLRU(16, testPages)
+	for p := int32(0); p < 16; p++ {
+		r.Touch(p)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for p := int32(100); p < 200; p++ {
+			r.Remove(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RLRU.Remove of untracked pages allocates %.1f times per run, want 0", allocs)
+	}
+	if r.Len() != 16 {
+		t.Fatalf("Len = %d after removing untracked pages", r.Len())
 	}
 }
 
@@ -129,7 +281,7 @@ func TestStageLocMirrored(t *testing.T) {
 }
 
 func TestRLRU(t *testing.T) {
-	r := NewRLRU(3)
+	r := NewRLRU(3, testPages)
 	if r.Cap() != 3 {
 		t.Fatal("cap")
 	}
@@ -162,7 +314,7 @@ func TestRLRU(t *testing.T) {
 }
 
 func TestRLRUEvictionOrder(t *testing.T) {
-	r := NewRLRU(2)
+	r := NewRLRU(2, testPages)
 	r.Touch(1)
 	r.Touch(2)
 	r.Touch(1) // promote 1; 2 becomes LRU
@@ -173,7 +325,7 @@ func TestRLRUEvictionOrder(t *testing.T) {
 }
 
 func TestRLRUMinCapacity(t *testing.T) {
-	r := NewRLRU(0)
+	r := NewRLRU(0, testPages)
 	if r.Cap() != 1 {
 		t.Fatalf("cap = %d, want clamped to 1", r.Cap())
 	}

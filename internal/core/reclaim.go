@@ -38,16 +38,11 @@ func (s *Steering) Draining() bool {
 			return true
 		}
 	}
-	if s.failedHome < 0 {
-		return s.dt.WriteLen() > 0
+	pending := s.dt.WriteLen()
+	if s.failedHome >= 0 {
+		pending -= s.dt.WriteLenOn(int32(s.failedHome))
 	}
-	pending := false
-	s.dt.ForEach(func(k PageKey, e Entry) {
-		if e.Write && int(k.Disk) != s.failedHome {
-			pending = true
-		}
-	})
-	return pending
+	return pending > 0
 }
 
 func (s *Steering) drain(now sim.Time, disk int) {

@@ -10,7 +10,9 @@ package core
 // evicted slots are recycled through a free list, so steady-state Touch and
 // Remove allocate nothing (container/list would allocate one Element per
 // insertion — a measurable cost on the read hot path, where every read
-// touches the list).
+// touches the list). A bitset over the disk's pages marks the tracked
+// ones, so Contains, and Remove of an untracked page — every page a
+// write invalidates — cost a bit test instead of a map probe.
 type RLRU struct {
 	cap     int
 	entries []rlruEntry // slab; list links are slab indices
@@ -19,6 +21,7 @@ type RLRU struct {
 	tail    int32       // least recent, -1 when empty
 	n       int
 	pos     map[int32]int32 // page -> slab index
+	tracked []uint64        // bit p set when page p is in pos
 }
 
 // rlruEntry is one tracked page with its recent-hit count and list links.
@@ -28,12 +31,28 @@ type rlruEntry struct {
 	prev, next int32 // slab indices, -1 terminates
 }
 
-// NewRLRU creates a list bounded to capacity pages (min 1).
-func NewRLRU(capacity int) *RLRU {
+// NewRLRU creates a list bounded to capacity pages (min 1) for a disk
+// whose tracked pages all lie in [0, pages).
+func NewRLRU(capacity, pages int) *RLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &RLRU{cap: capacity, head: -1, tail: -1, pos: make(map[int32]int32)}
+	return &RLRU{cap: capacity, head: -1, tail: -1, pos: make(map[int32]int32),
+		tracked: make([]uint64, (pages+63)/64)}
+}
+
+// isTracked tests page's bit.
+func (r *RLRU) isTracked(page int32) bool {
+	return r.tracked[page>>6]&(1<<(uint(page)&63)) != 0
+}
+
+// mark sets or clears page's bit.
+func (r *RLRU) mark(page int32, on bool) {
+	if on {
+		r.tracked[page>>6] |= 1 << (uint(page) & 63)
+	} else {
+		r.tracked[page>>6] &^= 1 << (uint(page) & 63)
+	}
 }
 
 // unlink detaches slot i from the list without recycling it.
@@ -79,7 +98,8 @@ func (r *RLRU) alloc() int32 {
 // read recently before this access (0 = first sighting). The caller
 // decides the popularity threshold for migration.
 func (r *RLRU) Touch(page int32) int {
-	if i, ok := r.pos[page]; ok {
+	if r.isTracked(page) {
+		i := r.pos[page]
 		if r.head != i {
 			r.unlink(i)
 			r.pushFront(i)
@@ -91,32 +111,33 @@ func (r *RLRU) Touch(page int32) int {
 	r.entries[i] = rlruEntry{page: page}
 	r.pushFront(i)
 	r.pos[page] = i
+	r.mark(page, true)
 	r.n++
 	if r.n > r.cap {
-		oldest := r.tail
-		r.unlink(oldest)
-		delete(r.pos, r.entries[oldest].page)
-		r.free = append(r.free, oldest)
-		r.n--
+		r.drop(r.tail)
 	}
 	return 0
 }
 
 // Contains reports whether page is currently tracked, without promoting it.
-func (r *RLRU) Contains(page int32) bool {
-	_, ok := r.pos[page]
-	return ok
-}
+func (r *RLRU) Contains(page int32) bool { return r.isTracked(page) }
 
 // Remove drops page from the list (used when a write invalidates the
 // hotness of a read page).
 func (r *RLRU) Remove(page int32) {
-	if i, ok := r.pos[page]; ok {
-		r.unlink(i)
-		delete(r.pos, page)
-		r.free = append(r.free, i)
-		r.n--
+	if r.isTracked(page) {
+		r.drop(r.pos[page])
 	}
+}
+
+// drop unlinks slot i, forgets its page and recycles the slot.
+func (r *RLRU) drop(i int32) {
+	page := r.entries[i].page
+	r.unlink(i)
+	delete(r.pos, page)
+	r.mark(page, false)
+	r.free = append(r.free, i)
+	r.n--
 }
 
 // Len returns the number of tracked pages.

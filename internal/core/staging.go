@@ -364,6 +364,7 @@ func (r *ReservedStaging) Reserve(loc StageLoc) error {
 	}
 	if loc.Mirrored() {
 		if err := r.reserveSlot(loc.Dev1, loc.Page1); err != nil {
+			r.freeSlot(loc.Dev0, loc.Page0) // all or nothing
 			return err
 		}
 	}

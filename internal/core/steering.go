@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"gcsteering/internal/obs"
 	"gcsteering/internal/raid"
@@ -160,7 +159,7 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		arr:        arr,
 		devs:       devs,
 		staging:    staging,
-		dt:         NewDTable(),
+		dt:         NewDTable(len(devs), arr.Layout().DiskPages),
 		cfg:        cfg,
 		failedHome: -1,
 		draining:   make([]bool, len(devs)),
@@ -170,7 +169,7 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		hotCap = 1
 	}
 	for range devs {
-		s.hot = append(s.hot, NewRLRU(hotCap))
+		s.hot = append(s.hot, NewRLRU(hotCap, arr.Layout().DiskPages))
 	}
 	arr.Route = s.route
 	arr.GCAwareWrites = true
@@ -224,12 +223,8 @@ func (s *Steering) SetFailedHome(disk int) { s.failedHome = disk }
 // entries on the failed member are dropped too, because the in-place parity
 // update at redirect time makes the data reconstructible from the array.
 func (s *Steering) DropStagedOn(dev int32) {
-	type fix struct {
-		key PageKey
-		e   Entry
-	}
-	var drops []PageKey
-	var remaps []fix
+	// ForEach walks in (disk, page) order, so the staging pool's free list
+	// refills in a run-independent order.
 	s.dt.ForEach(func(k PageKey, e Entry) {
 		onDev0 := e.Loc.Dev0 == dev
 		onDev1 := e.Loc.Mirrored() && e.Loc.Dev1 == dev
@@ -237,7 +232,8 @@ func (s *Steering) DropStagedOn(dev int32) {
 			return
 		}
 		if !e.Write || (!e.Loc.Mirrored() && onDev0) {
-			drops = append(drops, k)
+			s.freeSurviving(e.Loc, dev)
+			s.dt.Delete(k)
 			return
 		}
 		// Mirrored write: keep the surviving copy as the only copy.
@@ -246,21 +242,8 @@ func (s *Steering) DropStagedOn(dev int32) {
 			loc.Dev0, loc.Page0 = loc.Dev1, loc.Page1
 		}
 		loc.Dev1 = NoMirror
-		remaps = append(remaps, fix{k, Entry{Loc: loc, Write: true}})
+		s.dt.Put(k, loc, true)
 	})
-	// ForEach visits the D_Table in map order; sort before applying so the
-	// staging pool's free list fills in a run-independent order.
-	sort.Slice(drops, func(i, j int) bool { return drops[i].less(drops[j]) })
-	sort.Slice(remaps, func(i, j int) bool { return remaps[i].key.less(remaps[j].key) })
-	for _, k := range drops {
-		if e, ok := s.dt.Get(k); ok {
-			s.freeSurviving(e.Loc, dev)
-			s.dt.Delete(k)
-		}
-	}
-	for _, f := range remaps {
-		s.dt.Put(f.key, f.e.Loc, true)
-	}
 }
 
 // freeSurviving returns to the pool only the copies of loc that are not on
@@ -280,24 +263,33 @@ func (s *Steering) freeSurviving(loc StageLoc, failed int32) {
 func (s *Steering) SnapshotDTable() ([]byte, error) { return s.dt.Snapshot() }
 
 // RestoreDTable reloads a redirect log after a crash. Every restored
-// entry's staging slots are re-reserved so the allocator cannot hand them
-// out again; the restore fails (leaving an empty table) if any slot is
-// inconsistent with the staging space.
+// entry's staging slots are re-reserved, in (disk, page) order, so the
+// allocator cannot hand them out again. The restore fails if the snapshot
+// names a key outside the array or a slot inconsistent with the staging
+// space; the error names the lowest such entry, and the slots reserved
+// before it are released, so a rejected restore leaves both the table and
+// the staging pools as they were.
 func (s *Steering) RestoreDTable(data []byte) error {
-	dt := NewDTable()
+	dt := NewDTable(len(s.devs), s.arr.Layout().DiskPages)
 	if err := dt.Restore(data); err != nil {
 		return err
 	}
 	var reserveErr error
+	var reserved []StageLoc
 	dt.ForEach(func(k PageKey, e Entry) {
 		if reserveErr != nil {
 			return
 		}
 		if err := s.staging.Reserve(e.Loc); err != nil {
 			reserveErr = fmt.Errorf("entry (%d,%d): %w", k.Disk, k.Page, err)
+			return
 		}
+		reserved = append(reserved, e.Loc)
 	})
 	if reserveErr != nil {
+		for _, loc := range reserved {
+			s.staging.Free(loc)
+		}
 		return reserveErr
 	}
 	s.dt = dt

@@ -49,6 +49,11 @@ type FTL struct {
 	freeBlocks  int // total blocks in blockFree state
 	mappedPages int // number of mapped logical pages
 
+	// Arenas behind every Plan, reused across CollectUntil calls so a GC
+	// episode allocates nothing once they reach their high-water mark.
+	gcVictims  []VictimPlan
+	gcPrograms []int32
+
 	// Cumulative statistics.
 	hostWrites int64 // pages written by the host
 	gcWrites   int64 // pages copied by garbage collection

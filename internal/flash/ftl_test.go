@@ -239,20 +239,55 @@ func TestGCMovesReflectValidPages(t *testing.T) {
 		if int64(plan.Erases) != f.Erases()-beforeErases {
 			t.Fatalf("plan.Erases=%d, erase delta=%d", plan.Erases, f.Erases()-beforeErases)
 		}
-		for _, v := range plan.Victims {
+		moved := 0
+		for i, v := range plan.Victims {
 			if f.Geometry().BlockChannel(v.Block) != v.Channel {
 				t.Fatalf("victim %d channel mismatch", v.Block)
 			}
-			// Note: an early victim may be reopened as a destination block by
-			// a later victim in the same episode, so validPages may be > 0
-			// again by the time the plan is returned; only the move sources
-			// are a stable property.
-			for _, m := range plan.VictimMoves(v) {
-				if f.Geometry().PageBlock(m.From) != v.Block {
-					t.Fatalf("move source %d not in victim block %d", m.From, v.Block)
-				}
+			// Every page read out of a victim is programmed exactly once,
+			// on some channel.
+			programs := 0
+			for _, n := range plan.Programs(i) {
+				programs += int(n)
 			}
+			if programs != v.Moved {
+				t.Fatalf("victim %d: %d programs for %d moved pages", v.Block, programs, v.Moved)
+			}
+			moved += v.Moved
 		}
+		if int64(moved) != f.GCWrites()-beforeMoves {
+			t.Fatalf("sum of victim Moved=%d, gcWrites delta=%d", moved, f.GCWrites()-beforeMoves)
+		}
+	}
+}
+
+// TestCollectUntilZeroAllocAfterWarmup pins the reused plan arenas: once
+// they have grown to an episode's size, a GC episode allocates nothing.
+// Rebuilding the plan per episode would fail it.
+func TestCollectUntilZeroAllocAfterWarmup(t *testing.T) {
+	f := mustFTL(t, testGeom())
+	fillSequential(f)
+	rng := rand.New(rand.NewSource(5))
+	lp := f.Geometry().LogicalPages()
+	churn := func() {
+		for !f.NeedGC(2) {
+			f.Write(rng.Intn(lp))
+		}
+	}
+	for i := 0; i < 20; i++ { // warm the arenas
+		churn()
+		f.CollectUntil(8, 0)
+	}
+	victims := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		churn()
+		victims += len(f.CollectUntil(8, 0).Victims)
+	})
+	if victims == 0 {
+		t.Fatal("precondition: no episode collected anything")
+	}
+	if allocs != 0 {
+		t.Fatalf("CollectUntil allocates %.1f times per episode after warm-up, want 0", allocs)
 	}
 }
 

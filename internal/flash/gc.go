@@ -1,36 +1,33 @@
 package flash
 
-// Move records one valid-page copy performed by garbage collection: the
-// page is read from From and programmed at To. Channels for timing purposes
-// derive from the geometry (From and To may live on different channels when
-// the victim's own channel is out of room).
-type Move struct {
-	From, To int
-}
-
 // VictimPlan describes the collection of a single erase block: all valid
-// pages are moved out, then the block is erased. Its moves live in the
-// owning Plan's flat arena at [MoveStart, MoveEnd) — one shared slice per
-// episode instead of one allocation per victim.
+// pages are moved out, then the block is erased.
 type VictimPlan struct {
-	Block              int
-	Channel            int
-	MoveStart, MoveEnd int // index range into Plan.Moves
+	Block   int
+	Channel int
+	// Moved counts the valid pages read out of the victim, all of them on
+	// Channel; Plan.Programs says where they were programmed.
+	Moved int
 }
 
 // Plan is the outcome of one garbage-collection episode. The FTL state is
 // already updated when a Plan is returned; the plan exists so the timed
-// device model can charge the channel time the episode consumed.
+// device model can charge the channel time the episode consumed. Its
+// slices are the FTL's reused arenas: a plan is valid until the next
+// CollectUntil on the same FTL.
 type Plan struct {
 	Victims    []VictimPlan
-	Moves      []Move // flat arena; victims index into it via [MoveStart, MoveEnd)
 	PagesMoved int
 	Erases     int
+
+	programs []int32 // Channels counts per victim, victim-major
+	channels int
 }
 
-// VictimMoves returns the moves belonging to victim v.
-func (p *Plan) VictimMoves(v VictimPlan) []Move {
-	return p.Moves[v.MoveStart:v.MoveEnd]
+// Programs returns, indexed by channel, how many of victim i's moved
+// pages were programmed on each channel.
+func (p *Plan) Programs(i int) []int32 {
+	return p.programs[i*p.channels : (i+1)*p.channels]
 }
 
 // Empty reports whether the episode did no work.
@@ -45,24 +42,29 @@ func (f *FTL) NeedGC(lowWater int) bool { return f.freeBlocks <= lowWater }
 // and erases it, until the free-block count reaches targetFree and at least
 // minVictims blocks have been collected. Blocks whose pages are all valid
 // are never selected (collecting them frees nothing). The returned plan
-// lists every page move and erase so the caller can model their latency.
+// counts the page moves and erases so the caller can model their latency.
 //
 // minVictims > 0 forces work even when free space is already above the
 // target; the GGC policy uses this to make every device collect when any
 // one device collects, reproducing the higher total GC counts the paper
 // reports for GGC (Fig. 7b).
 func (f *FTL) CollectUntil(targetFree, minVictims int) Plan {
-	var plan Plan
+	plan := Plan{Victims: f.gcVictims[:0], programs: f.gcPrograms[:0], channels: f.geom.Channels}
 	for f.freeBlocks < targetFree || len(plan.Victims) < minVictims {
 		b := f.pickVictim()
 		if b < 0 {
 			break // nothing collectible
 		}
-		vp := f.collectBlock(b, &plan)
+		start := len(plan.programs)
+		for c := 0; c < f.geom.Channels; c++ {
+			plan.programs = append(plan.programs, 0)
+		}
+		vp := f.collectBlock(b, plan.programs[start:])
 		plan.Victims = append(plan.Victims, vp)
-		plan.PagesMoved += vp.MoveEnd - vp.MoveStart
+		plan.PagesMoved += vp.Moved
 		plan.Erases++
 	}
+	f.gcVictims, f.gcPrograms = plan.Victims, plan.programs
 	return plan
 }
 
@@ -85,11 +87,12 @@ func (f *FTL) pickVictim() int {
 }
 
 // collectBlock relocates every valid page of block b and erases it,
-// appending the moves to plan's flat arena. Destinations rotate across
-// channels just like host writes do, so the relocation programs proceed in
-// parallel instead of serializing behind the victim's own channel.
-func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
-	vp := VictimPlan{Block: b, Channel: f.geom.BlockChannel(b), MoveStart: len(plan.Moves)}
+// counting each relocation in programs at its destination channel.
+// Destinations rotate across channels just like host writes do, so the
+// relocation programs proceed in parallel instead of serializing behind
+// the victim's own channel.
+func (f *FTL) collectBlock(b int, programs []int32) VictimPlan {
+	vp := VictimPlan{Block: b, Channel: f.geom.BlockChannel(b)}
 	base := b * f.geom.PagesPerBlock
 	for off := 0; off < f.geom.PagesPerBlock; off++ {
 		from := base + off
@@ -99,7 +102,7 @@ func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
 		}
 		preferred := f.nextChan
 		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		to := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
+		to, toChan := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
 		// Relocate the mapping.
 		f.p2l[from] = unmapped
 		f.blocks[b].validPages--
@@ -107,9 +110,9 @@ func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
 		f.p2l[to] = lpn
 		f.blocks[f.geom.PageBlock(to)].validPages++
 		f.gcWrites++
-		plan.Moves = append(plan.Moves, Move{From: from, To: to})
+		vp.Moved++
+		programs[toChan]++
 	}
-	vp.MoveEnd = len(plan.Moves)
 	// Erase.
 	f.blocks[b].state = blockFree
 	f.blocks[b].writePtr = 0
@@ -128,15 +131,15 @@ func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
 // allocateForGC allocates a destination page for a GC move, preferring the
 // victim's own channel and spilling to other channels when it is full. The
 // victim block itself is excluded as a destination (it is about to be
-// erased).
-func (f *FTL) allocateForGC(stream, preferred, victim int) int {
+// erased). It returns the page and its channel.
+func (f *FTL) allocateForGC(stream, preferred, victim int) (int, int) {
 	if f.channelHasRoomExcluding(stream, preferred, victim) {
-		return f.allocateExcluding(stream, preferred, victim)
+		return f.allocateExcluding(stream, preferred, victim), preferred
 	}
 	for i := 1; i < f.geom.Channels; i++ {
 		c := (preferred + i) % f.geom.Channels
 		if f.channelHasRoomExcluding(stream, c, victim) {
-			return f.allocateExcluding(stream, c, victim)
+			return f.allocateExcluding(stream, c, victim), c
 		}
 	}
 	panic("flash: no room anywhere for GC relocation; over-provisioning too small")

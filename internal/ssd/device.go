@@ -445,9 +445,10 @@ func (d *Device) ForceGC(now sim.Time) {
 // round for what is physically the same episode.
 //
 // gcsvet: GC planning is episodic — its bookkeeping amortizes over the
-// whole episode and the plan arena is reused (PR 7), so it is a cold
-// boundary for hotalloc rather than part of the per-request budget. The
-// bench gate still measures its real cost.
+// whole episode, so it is a cold boundary for hotalloc rather than part of
+// the per-request budget. The plan is a set of per-victim counts in
+// arenas the FTL reuses across episodes, so after warm-up an episode
+// allocates nothing (TestCollectUntilZeroAllocAfterWarmup).
 //
 //gcsvet:cold
 func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) {
@@ -466,15 +467,21 @@ func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) 
 			}
 		}
 	}
-	for _, v := range plan.Victims {
+	for i, v := range plan.Victims {
+		// One occupy of count × duration per (victim, channel) equals
+		// charging the victim's page ops one at a time: occupy starts at
+		// max(free[c], now) and then only adds, so a channel's last end
+		// does not depend on how its ops interleave with other channels'
+		// (GC ops carry no fault delay).
 		var victimEnd sim.Time
-		for _, m := range plan.VictimMoves(v) {
-			rEnd := d.occupy(now, d.cfg.Geometry.PageChannel(m.From), lat.PageRead+lat.BusTransfer)
-			wEnd := d.occupy(now, d.cfg.Geometry.PageChannel(m.To), lat.PageProgram+lat.BusTransfer)
-			if rEnd > victimEnd {
-				victimEnd = rEnd
+		if v.Moved > 0 {
+			victimEnd = d.occupy(now, v.Channel, sim.Time(v.Moved)*(lat.PageRead+lat.BusTransfer))
+		}
+		for c, n := range plan.Programs(i) {
+			if n == 0 {
+				continue
 			}
-			if wEnd > victimEnd {
+			if wEnd := d.occupy(now, c, sim.Time(n)*(lat.PageProgram+lat.BusTransfer)); wEnd > victimEnd {
 				victimEnd = wEnd
 			}
 		}
