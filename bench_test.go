@@ -1,6 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// section, plus ablation benches for the design choices DESIGN.md calls
-// out. Each BenchmarkTable*/BenchmarkFig* runs a scaled-down version of the
+// section. Each BenchmarkTable*/BenchmarkFig* runs a scaled-down version of the
 // corresponding experiment and reports the headline numbers as custom
 // metrics (units chosen so "lower is better" where the paper's bars are
 // normalized response times).
@@ -208,82 +207,6 @@ func BenchmarkRAID6Extension(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(g.GeoMeanNormalized("LGC")["GC-Steering"], "steering-vs-LGC-raid6")
-	}
-}
-
-// --- Ablation benches -----------------------------------------------------
-
-// ablationRun replays one workload under a steering config variant and
-// returns the mean response time in µs.
-func ablationRun(b *testing.B, wl string, seed int64, mutate func(*gcsteering.Config)) float64 {
-	b.Helper()
-	cfg := harness.BaseConfig()
-	cfg.Scheme = gcsteering.SchemeSteering
-	cfg.Seed += seed
-	mutate(&cfg)
-	sys, err := gcsteering.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := cfg.GenerateWorkload(wl, 3000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := sys.Replay(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Latency.Mean / 1e3
-}
-
-// BenchmarkAblationHotReadMigration compares steering with and without the
-// proactive hot-read migration (paper §III-B's Popular Data Identifier).
-func BenchmarkAblationHotReadMigration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		on := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) {})
-		off := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) { c.MigrateHotReads = false })
-		b.ReportMetric(off/on, "no-migration-vs-full")
-	}
-}
-
-// BenchmarkAblationReclaimMerge compares merged vs page-at-a-time reclaim
-// write-back (paper §III-C's merge optimization).
-func BenchmarkAblationReclaimMerge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		on := ablationRun(b, "prxy_0", int64(i), func(c *gcsteering.Config) {})
-		off := ablationRun(b, "prxy_0", int64(i), func(c *gcsteering.Config) { c.ReclaimMerge = false })
-		b.ReportMetric(off/on, "no-merge-vs-merge")
-	}
-}
-
-// BenchmarkAblationGCAwareWrites compares the controller's reconstruct-
-// write GC avoidance against classic RMW-only behaviour.
-func BenchmarkAblationGCAwareWrites(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		on := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) {})
-		off := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) { c.DisableGCAwareWrites = true })
-		b.ReportMetric(off/on, "rmw-only-vs-gc-aware")
-	}
-}
-
-// BenchmarkAblationHotFrac sweeps the migration cap (paper fixes 10%).
-func BenchmarkAblationHotFrac(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, "hm_0", int64(i), func(c *gcsteering.Config) {})
-		small := ablationRun(b, "hm_0", int64(i), func(c *gcsteering.Config) { c.HotFrac = 0.01 })
-		big := ablationRun(b, "hm_0", int64(i), func(c *gcsteering.Config) { c.HotFrac = 0.5 })
-		b.ReportMetric(small/base, "hot1%-vs-hot10%")
-		b.ReportMetric(big/base, "hot50%-vs-hot10%")
-	}
-}
-
-// BenchmarkAblationColdStream evaluates multi-stream separation of the
-// staging region.
-func BenchmarkAblationColdStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		off := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) {})
-		on := ablationRun(b, "Fin1", int64(i), func(c *gcsteering.Config) { c.ColdStreamStaging = true })
-		b.ReportMetric(on/off, "coldstream-vs-shared")
 	}
 }
 

@@ -113,20 +113,6 @@ type Config struct {
 	// an identical array geometry (the paper compares schemes on the same
 	// number of SSDs).
 	ReservedFrac float64
-	// HotFrac caps the popular-read set per disk (paper: 10%).
-	HotFrac float64
-	// MigrateHotReads and ReclaimMerge toggle the corresponding
-	// GC-Steering mechanisms (both on in the paper; ablation knobs here).
-	MigrateHotReads bool
-	ReclaimMerge    bool
-	// ColdStreamStaging places the reserved staging region on a separate
-	// FTL write stream (multi-stream style hot/cold separation). Off by
-	// default; exposed for ablation studies.
-	ColdStreamStaging bool
-	// DisableGCAwareWrites turns off the controller's reconstruct-write
-	// path for partial-stripe writes whose RMW reads would land on a
-	// collecting disk (ablation knob; GC-Steering enables it).
-	DisableGCAwareWrites bool
 
 	// Checksums enables end-to-end page-checksum verification on the read
 	// path: silent corruption (FaultPlan.CorruptPageRate) is detected and
@@ -352,17 +338,14 @@ func DefaultConfig() Config {
 	g.Blocks = 256
 	g.PagesPerBlock = 128
 	return Config{
-		Disks:           5,
-		Level:           RAID5,
-		StripeUnitKB:    64,
-		Scheme:          SchemeSteering,
-		Staging:         StagingReserved,
-		ReservedFrac:    0.20,
-		HotFrac:         0.10,
-		MigrateHotReads: true,
-		ReclaimMerge:    true,
-		Flash:           g,
-		Latency:         ssd.DefaultLatency(),
+		Disks:        5,
+		Level:        RAID5,
+		StripeUnitKB: 64,
+		Scheme:       SchemeSteering,
+		Staging:      StagingReserved,
+		ReservedFrac: 0.20,
+		Flash:        g,
+		Latency:      ssd.DefaultLatency(),
 		// Long, infrequent GC episodes — the regime where uncoordinated GC
 		// produces the pronounced tail latencies the paper measures.
 		GCLowWater:  g.Channels,

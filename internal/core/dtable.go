@@ -7,8 +7,9 @@
 // The five functional components of the paper's Figure 3 map to this
 // package as follows: the Popular Data Identifier is RLRU, the Staging
 // Space Manager is the Staging implementations, the Request Redirector is
-// Steering.route, the Reclaimer is reclaim.go, and the Administration
-// Interface is the Config struct plus the public facade package.
+// Steering.route, and the Reclaimer is reclaim.go. The Administration
+// Interface lives in the public facade package (gcsteering.Config and
+// System); the mechanisms themselves are fixed as in the paper.
 package core
 
 import (
@@ -208,12 +209,11 @@ type Run struct {
 }
 
 // WriteRunsFor returns the write entries homed on disk, merged into
-// contiguous runs sorted by page. With merge=false every page is its own
-// run (the ablation configuration).
-func (t *DTable) WriteRunsFor(disk int32, merge bool) []Run {
+// contiguous runs sorted by page.
+func (t *DTable) WriteRunsFor(disk int32) []Run {
 	var runs []Run
 	for page := int32(0); ; {
-		run, ok := t.writeRunFrom(disk, page, merge)
+		run, ok := t.writeRunFrom(disk, page)
 		if !ok {
 			return runs
 		}
@@ -226,14 +226,14 @@ func (t *DTable) WriteRunsFor(disk int32, merge bool) []Run {
 // report for disk, without materializing the full run list — the
 // reclaimer drains one run per step. ok is false when the disk has no
 // write entries.
-func (t *DTable) FirstWriteRunFor(disk int32, merge bool) (Run, bool) {
-	return t.writeRunFrom(disk, 0, merge)
+func (t *DTable) FirstWriteRunFor(disk int32) (Run, bool) {
+	return t.writeRunFrom(disk, 0)
 }
 
 // writeRunFrom returns the first write run on disk starting at or after
 // page: a word scan of the disk's write bitset finds its first page, and
 // bit tests extend it.
-func (t *DTable) writeRunFrom(disk, page int32, merge bool) (Run, bool) {
+func (t *DTable) writeRunFrom(disk, page int32) (Run, bool) {
 	if t.WriteLenOn(disk) == 0 || page >= t.pages {
 		return Run{}, false
 	}
@@ -248,10 +248,8 @@ func (t *DTable) writeRunFrom(disk, page int32, merge bool) (Run, bool) {
 		w = words[wi]
 	}
 	run := Run{Disk: disk, Page: int32(wi*64 + bits.TrailingZeros64(w)), Pages: 1}
-	if merge {
-		for p := run.Page + 1; p < t.pages && words[p>>6]&(1<<(uint(p)&63)) != 0; p++ {
-			run.Pages++
-		}
+	for p := run.Page + 1; p < t.pages && words[p>>6]&(1<<(uint(p)&63)) != 0; p++ {
+		run.Pages++
 	}
 	return run, true
 }

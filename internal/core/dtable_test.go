@@ -75,7 +75,7 @@ func TestWriteRunsMerging(t *testing.T) {
 	dt.Put(k(0, 13), loc, false)
 	dt.Put(k(1, 5), loc, true)
 
-	runs := dt.WriteRunsFor(0, true)
+	runs := dt.WriteRunsFor(0)
 	if len(runs) != 2 {
 		t.Fatalf("runs = %+v", runs)
 	}
@@ -85,12 +85,7 @@ func TestWriteRunsMerging(t *testing.T) {
 	if runs[1].Page != 20 || runs[1].Pages != 1 {
 		t.Fatalf("second run %+v", runs[1])
 	}
-
-	unmerged := dt.WriteRunsFor(0, false)
-	if len(unmerged) != 4 {
-		t.Fatalf("unmerged runs = %+v", unmerged)
-	}
-	if got := dt.WriteRunsFor(2, true); got != nil {
+	if got := dt.WriteRunsFor(2); got != nil {
 		t.Fatalf("runs for untouched disk: %+v", got)
 	}
 }
@@ -241,7 +236,7 @@ func TestDTableHotPathZeroAlloc(t *testing.T) {
 			}
 			dt.Delete(k(3, p))
 		}
-		if run, ok := dt.FirstWriteRunFor(1, true); !ok || run.Page != 100 || run.Pages != 5 {
+		if run, ok := dt.FirstWriteRunFor(1); !ok || run.Page != 100 || run.Pages != 5 {
 			t.Fatalf("FirstWriteRunFor = %+v, %v", run, ok)
 		}
 	})

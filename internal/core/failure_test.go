@@ -10,7 +10,7 @@ import (
 // entry, returning their keys.
 func stagedEntries(t *testing.T) (*rig, PageKey, PageKey) {
 	t.Helper()
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	// Hot-read entry: read the page three times.
 	for i := 0; i < 3; i++ {
 		r.arr.Read(r.eng.Now(), 0, 1, nil)

@@ -54,22 +54,20 @@ func FuzzDTable(f *testing.F) {
 					t.Fatalf("Get(%v) = %+v,%v, want %+v,%v", key, got, ok, want, wantOK)
 				}
 			case 3: // FirstWriteRunFor
-				merge := arg&1 == 1
-				got, ok := dt.FirstWriteRunFor(disk, merge)
-				runs := oracleRuns(oracle, disk, merge)
+				got, ok := dt.FirstWriteRunFor(disk)
+				runs := oracleRuns(oracle, disk)
 				if ok != (len(runs) > 0) || (ok && got != runs[0]) {
-					t.Fatalf("FirstWriteRunFor(%d,%v) = %+v,%v, want %+v", disk, merge, got, ok, runs)
+					t.Fatalf("FirstWriteRunFor(%d) = %+v,%v, want %+v", disk, got, ok, runs)
 				}
 			case 4: // WriteRunsFor
-				merge := arg&1 == 1
-				got := dt.WriteRunsFor(disk, merge)
-				want := oracleRuns(oracle, disk, merge)
+				got := dt.WriteRunsFor(disk)
+				want := oracleRuns(oracle, disk)
 				if len(got) != len(want) {
-					t.Fatalf("WriteRunsFor(%d,%v) = %+v, want %+v", disk, merge, got, want)
+					t.Fatalf("WriteRunsFor(%d) = %+v, want %+v", disk, got, want)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("WriteRunsFor(%d,%v) = %+v, want %+v", disk, merge, got, want)
+						t.Fatalf("WriteRunsFor(%d) = %+v, want %+v", disk, got, want)
 					}
 				}
 			case 5: // ForEach, deleting a later key from inside the callback
@@ -167,13 +165,13 @@ func oracleKeys(oracle map[PageKey]Entry) []PageKey {
 
 // oracleRuns is WriteRunsFor over the oracle map: sort the disk's write
 // pages, then merge neighbours.
-func oracleRuns(oracle map[PageKey]Entry, disk int32, merge bool) []Run {
+func oracleRuns(oracle map[PageKey]Entry, disk int32) []Run {
 	var runs []Run
 	for _, key := range oracleKeys(oracle) {
 		if key.Disk != disk || !oracle[key].Write {
 			continue
 		}
-		if n := len(runs); merge && n > 0 && runs[n-1].Page+runs[n-1].Pages == key.Page {
+		if n := len(runs); n > 0 && runs[n-1].Page+runs[n-1].Pages == key.Page {
 			runs[n-1].Pages++
 			continue
 		}

@@ -26,7 +26,7 @@ func TestQuickSteeringInvariants(t *testing.T) {
 		Ops  uint16
 	}
 	f := func(sp spec) bool {
-		r := newRig(t, "reserved", DefaultConfig())
+		r := newRig(t, "reserved")
 		rng := rand.New(rand.NewSource(sp.Seed))
 		total := r.lay.LogicalPages()
 		ops := int(sp.Ops%600) + 50

@@ -76,7 +76,7 @@ func (s *Steering) drainNext(now sim.Time, disk int) {
 		s.draining[disk] = false
 		return
 	}
-	run, ok := s.dt.FirstWriteRunFor(int32(disk), s.cfg.ReclaimMerge)
+	run, ok := s.dt.FirstWriteRunFor(int32(disk))
 	if !ok {
 		s.draining[disk] = false
 		return

@@ -12,7 +12,7 @@ import (
 // controller over the same array, after which staged pages are still served
 // from the staging space and the staged slots are not reallocated.
 func TestCrashRecoveryRoundTrip(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	r.arr.Write(r.eng.Now(), 0, 1, nil)
@@ -30,10 +30,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 	// "Crash": build a fresh controller over the same devices and array
 	// (the flash contents survive a power failure; the controller state
 	// does not).
-	fresh, err := New(r.eng, r.arr, r.st.Staging(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := New(r.eng, r.arr, r.st.Staging())
 	// The staging slot is still held by the old controller's accounting;
 	// free it to model the fresh pools a restarted controller starts from,
 	// then restore, which must re-reserve it.
@@ -69,7 +66,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	// Craft a snapshot naming a slot that is currently allocated elsewhere.
 	loc, ok := r.st.Staging().AllocWrite(r.eng.Now(), -1, false)
 	if !ok {
@@ -124,7 +121,7 @@ func TestReserveErrors(t *testing.T) {
 // clean entry goes back to the pool (restores used to reserve in map
 // order and keep whatever they had taken before the failure).
 func TestRejectedRestoreReleasesSlots(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	now := r.eng.Now()
 	busy0, ok0 := r.st.Staging().AllocWrite(now, -1, false)
 	busy1, ok1 := r.st.Staging().AllocWrite(now, -1, false)
@@ -157,7 +154,7 @@ func TestRejectedRestoreReleasesSlots(t *testing.T) {
 // TestRestoreRejectsKeyOutsideArray: a snapshot keyed outside the array
 // used to restore, leaving an entry the reclaimer could never drain.
 func TestRestoreRejectsKeyOutsideArray(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	loc, ok := r.st.Staging().AllocWrite(r.eng.Now(), -1, false)
 	if !ok {
 		t.Fatal("alloc failed")

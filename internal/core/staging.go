@@ -326,17 +326,7 @@ func (r *ReservedStaging) Write(now sim.Time, loc StageLoc, done func(sim.Time))
 		must(r.devs[loc.Dev0].Write(now, int(loc.Page0), 1, done))
 		return
 	}
-	remain := 2
-	//lint:allow hotalloc one mirror barrier closure per mirrored staging write; the redundancy is the feature's budgeted cost
-	cb := func(t sim.Time) {
-		remain--
-		if remain == 0 && done != nil {
-			done(t)
-		}
-	}
-	if done == nil {
-		cb = nil
-	}
+	cb := sim.Barrier(2, done)
 	must(r.devs[loc.Dev0].Write(now, int(loc.Page0), 1, cb))
 	must(r.devs[loc.Dev1].Write(now, int(loc.Page1), 1, cb))
 }

@@ -24,31 +24,11 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// Config tunes GC-Steering. The zero value is not useful; start from
-// DefaultConfig.
-type Config struct {
-	// HotFrac bounds the popular-read working set per member disk as a
+const (
+	// hotFrac bounds the popular-read working set per member disk as a
 	// fraction of its data pages (the paper migrates "only up to 10% of
 	// popular data blocks").
-	HotFrac float64
-	// MigrateHotReads enables proactive migration of popular read data to
-	// the staging space (disable for the writes-only ablation).
-	MigrateHotReads bool
-	// ReclaimMerge merges contiguous redirected pages into one write-back
-	// (the paper's merge-before-reclaim optimization; disable to ablate).
-	ReclaimMerge bool
-}
-
-// DefaultConfig returns the paper's configuration.
-func DefaultConfig() Config {
-	return Config{
-		HotFrac:         0.10,
-		MigrateHotReads: true,
-		ReclaimMerge:    true,
-	}
-}
-
-const (
+	hotFrac = 0.10
 	// migrateThreshold is how many recent re-reads a page needs before it
 	// is considered popular enough to migrate.
 	migrateThreshold = 2
@@ -110,7 +90,6 @@ type Steering struct {
 	staging Staging
 	dt      *DTable
 	hot     []*RLRU
-	cfg     Config
 
 	rebuilding bool
 	failedHome int    // member whose home locations are gone (-1 = none)
@@ -148,11 +127,8 @@ type Steering struct {
 type pageRun struct{ page, pages int }
 
 // New wires a Steering controller onto the array. It replaces the array's
-// Route hook.
-func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steering, error) {
-	if !(cfg.HotFrac >= 0 && cfg.HotFrac <= 1) { // rejects NaN too
-		return nil, fmt.Errorf("core: HotFrac %v outside [0,1]", cfg.HotFrac)
-	}
+// Route hook and turns on the array's GC-aware partial-stripe writes.
+func New(eng *sim.Engine, arr *raid.Array, staging Staging) *Steering {
 	devs := arr.Disks()
 	s := &Steering{
 		eng:        eng,
@@ -160,11 +136,10 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		devs:       devs,
 		staging:    staging,
 		dt:         NewDTable(len(devs), arr.Layout().DiskPages),
-		cfg:        cfg,
 		failedHome: -1,
 		draining:   make([]bool, len(devs)),
 	}
-	hotCap := int(cfg.HotFrac * float64(arr.Layout().DiskPages))
+	hotCap := int(hotFrac * float64(arr.Layout().DiskPages))
 	if hotCap < 1 {
 		hotCap = 1
 	}
@@ -174,7 +149,7 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 	arr.Route = s.route
 	arr.GCAwareWrites = true
 	s.writeCap = staging.FreeWriteSlots()
-	return s, nil
+	return s
 }
 
 // stagingPressure reports that the staging write pool is nearly exhausted.
@@ -328,21 +303,6 @@ func (s *Steering) route(now sim.Time, op raid.SubOp, done func(sim.Time)) bool 
 	}
 }
 
-// barrier fires done after n completions (nil-safe).
-func barrier(n int, done func(sim.Time)) func(sim.Time) {
-	if done == nil {
-		return nil
-	}
-	remain := n
-	//lint:allow hotalloc sanctioned one-closure-per-request fan-in barrier, mirroring the raid-level barrier (PR 7)
-	return func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
-	}
-}
-
 // routeRead serves a read sub-op. Staged pages are always read from the
 // staging space — D_Table is checked first so fetched data is always
 // up to date (§III-C) — and the remainder goes to the home disk, which may
@@ -391,7 +351,7 @@ func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) b
 		}
 	}
 	nOps += len(direct)
-	cb := barrier(nOps, done)
+	cb := sim.Barrier(nOps, done)
 	for i := 0; i < op.Pages; i++ {
 		if staged[i].Dev0 == NoMirror {
 			continue
@@ -455,7 +415,7 @@ func (s *Steering) observeRead(now sim.Time, op raid.SubOp) {
 // gets another chance on its next read).
 func (s *Steering) touchAndMigrate(now sim.Time, disk int, page int32) {
 	hits := s.hot[disk].Touch(page)
-	if hits < migrateThreshold || !s.cfg.MigrateHotReads {
+	if hits < migrateThreshold {
 		return
 	}
 	key := PageKey{Disk: int32(disk), Page: page}
@@ -614,7 +574,7 @@ func (s *Steering) routeWrite(now sim.Time, op raid.SubOp, done func(sim.Time)) 
 		s.stats.DirectWrites += int64(op.Pages)
 		return false
 	}
-	cb := barrier(len(locs)+len(direct), done)
+	cb := sim.Barrier(len(locs)+len(direct), done)
 	for _, loc := range locs {
 		s.staging.Write(now, loc, cb)
 	}

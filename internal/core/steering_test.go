@@ -67,7 +67,7 @@ func devConfig() ssd.Config {
 }
 
 // newRig builds the fixture. stagingKind is "reserved" or "dedicated".
-func newRig(t *testing.T, stagingKind string, cfg Config) *rig {
+func newRig(t *testing.T, stagingKind string) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	const nDisks = 5
@@ -115,10 +115,7 @@ func newRig(t *testing.T, stagingKind string, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	r.arr = arr
-	st, err := New(eng, arr, staging, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := New(eng, arr, staging)
 	r.st = st
 	r.hub = sched.NewHub(r.devs)
 	r.hub.SubscribeEnd(func(now sim.Time, d *ssd.Device) { st.OnDeviceGCEnd(now, d.ID) })
@@ -135,7 +132,7 @@ func (r *rig) homeOf(p int) (int, int) {
 }
 
 func TestFastPathDeclinesHealthyOps(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	r.arr.Read(0, 0, 1, nil)
 	r.arr.Write(r.eng.Now(), 0, 1, nil)
 	r.eng.Run()
@@ -152,7 +149,7 @@ func TestFastPathDeclinesHealthyOps(t *testing.T) {
 }
 
 func TestWriteDuringGCIsRedirected(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	if !r.devs[homeDisk].InGC(r.eng.Now()) {
@@ -188,7 +185,7 @@ func TestWriteDuringGCIsRedirected(t *testing.T) {
 }
 
 func TestReadChecksDTableFirst(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	r.arr.Write(r.eng.Now(), 0, 1, nil)
@@ -208,7 +205,7 @@ func TestReadChecksDTableFirst(t *testing.T) {
 }
 
 func TestReclaimAfterGCEnds(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	r.arr.Write(r.eng.Now(), 0, 1, nil)
@@ -232,7 +229,7 @@ func TestReclaimAfterGCEnds(t *testing.T) {
 }
 
 func TestReclaimMergesContiguousRuns(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	// Steer 4 contiguous pages of the same unit.
@@ -251,7 +248,7 @@ func TestReclaimMergesContiguousRuns(t *testing.T) {
 }
 
 func TestHotReadMigrationAndGCDodge(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	// Three reads make the page popular (migrateThreshold=2 prior hits);
 	// the third migrates it.
@@ -281,7 +278,7 @@ func TestHotReadMigrationAndGCDodge(t *testing.T) {
 }
 
 func TestHealthyWriteInvalidatesHotCopy(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	for i := 0; i < 3; i++ {
 		r.arr.Read(r.eng.Now(), 0, 1, nil)
@@ -307,7 +304,7 @@ func TestHealthyWriteInvalidatesHotCopy(t *testing.T) {
 }
 
 func TestRMWOldDataReadServedFromStaging(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	r.arr.Write(r.eng.Now(), 0, 1, nil) // creates the staged entry
@@ -323,7 +320,7 @@ func TestRMWOldDataReadServedFromStaging(t *testing.T) {
 }
 
 func TestRebuildingModeSteersEverythingAndSuspendsReclaim(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	r.st.SetRebuilding(r.eng.Now(), true)
 	if !r.st.Rebuilding() {
 		t.Fatal("mode not set")
@@ -349,7 +346,7 @@ func TestRebuildingModeSteersEverythingAndSuspendsReclaim(t *testing.T) {
 }
 
 func TestStagingExhaustionFallsBack(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, _ := r.homeOf(0)
 	// Exhaust the write pools.
 	for {
@@ -376,7 +373,7 @@ func TestStagingExhaustionFallsBack(t *testing.T) {
 // incremented even though no allocation was attempted, overstating
 // allocator exhaustion during rebuilds.
 func TestRebuildHeadroomGateCountsSeparately(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	homeDisk, _ := r.homeOf(0)
 	// Drain the write pool below the 25% headroom threshold, but not to
 	// exhaustion: the gate (not the allocator) must be what stops steering.
@@ -402,7 +399,7 @@ func TestRebuildHeadroomGateCountsSeparately(t *testing.T) {
 }
 
 func TestRedirectRatioUnderHotWorkload(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig())
+	r := newRig(t, "reserved")
 	rng := rand.New(rand.NewSource(5))
 	hotPages := 64 // small hot set, read repeatedly
 	total := r.lay.LogicalPages()
@@ -426,7 +423,7 @@ func TestRedirectRatioUnderHotWorkload(t *testing.T) {
 }
 
 func TestDedicatedStagingEndToEnd(t *testing.T) {
-	r := newRig(t, "dedicated", DefaultConfig())
+	r := newRig(t, "dedicated")
 	homeDisk, homePage := r.homeOf(0)
 	r.devs[homeDisk].ForceGC(r.eng.Now())
 	r.arr.Write(r.eng.Now(), 0, 1, nil)
@@ -444,9 +441,10 @@ func TestDedicatedStagingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	r := newRig(t, "reserved", DefaultConfig()) // builds fine
-	_ = r
+// TestNewEnablesGCAwareWrites pins that steering always turns on the
+// array's GC-aware partial-stripe writes and installs its router: with
+// the mechanisms fixed as in the paper, nothing may leave them off.
+func TestNewEnablesGCAwareWrites(t *testing.T) {
 	eng := sim.NewEngine()
 	disks := make([]raid.Disk, 3)
 	for i := range disks {
@@ -456,12 +454,20 @@ func TestConfigValidation(t *testing.T) {
 		}
 		disks[i] = d
 	}
-	lay := raid.Layout{Level: raid.RAID5, Disks: 3, UnitPages: 16, DiskPages: 1632}
+	lay := raid.Layout{Level: raid.RAID5, Disks: 3, UnitPages: 16, DiskPages: 1296}
 	arr, err := raid.NewArray(eng, lay, disks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(eng, arr, nil, Config{HotFrac: 2}); err == nil {
-		t.Fatal("bad HotFrac accepted")
+	if arr.GCAwareWrites || arr.Route != nil {
+		t.Fatal("precondition: a bare array has no steering wired")
+	}
+	staging, err := NewReservedStaging(disks, lay.DiskPages, 336, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	New(eng, arr, staging)
+	if !arr.GCAwareWrites || arr.Route == nil {
+		t.Fatalf("after New: GCAwareWrites=%v, Route set=%v", arr.GCAwareWrites, arr.Route != nil)
 	}
 }

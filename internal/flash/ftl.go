@@ -36,15 +36,9 @@ type FTL struct {
 
 	blocks []blockMeta
 
-	freeByChan [][]int // per-channel stacks of free block indices
-	// activeBlock is indexed [stream][channel]: stream 0 carries ordinary
-	// host data, stream 1 carries cold data (LPNs at or above coldStart —
-	// the staging region). Separating the streams keeps long-lived staging
-	// copies out of the blocks churned by hot user writes, the classic
-	// multi-stream FTL optimization.
-	activeBlock [2][]int
-	coldStart   int // first LPN of the cold stream (LogicalPages = none)
-	nextChan    int // round-robin cursor for host writes
+	freeByChan  [][]int // per-channel stacks of free block indices
+	activeBlock []int   // per-channel block absorbing programs, or -1
+	nextChan    int     // round-robin cursor for host writes
 
 	freeBlocks  int // total blocks in blockFree state
 	mappedPages int // number of mapped logical pages
@@ -66,12 +60,12 @@ func NewFTL(g Geometry) (*FTL, error) {
 		return nil, err
 	}
 	f := &FTL{
-		geom:       g,
-		l2p:        make([]int32, g.LogicalPages()),
-		p2l:        make([]int32, g.PhysPages()),
-		blocks:     make([]blockMeta, g.Blocks),
-		freeByChan: make([][]int, g.Channels),
-		coldStart:  g.LogicalPages(),
+		geom:        g,
+		l2p:         make([]int32, g.LogicalPages()),
+		p2l:         make([]int32, g.PhysPages()),
+		blocks:      make([]blockMeta, g.Blocks),
+		freeByChan:  make([][]int, g.Channels),
+		activeBlock: make([]int, g.Channels),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = unmapped
@@ -79,11 +73,8 @@ func NewFTL(g Geometry) (*FTL, error) {
 	for i := range f.p2l {
 		f.p2l[i] = unmapped
 	}
-	for st := 0; st < 2; st++ {
-		f.activeBlock[st] = make([]int, g.Channels)
-		for c := 0; c < g.Channels; c++ {
-			f.activeBlock[st][c] = -1
-		}
+	for c := range f.activeBlock {
+		f.activeBlock[c] = -1
 	}
 	// Populate free lists channel by channel, low block numbers first.
 	for b := g.Blocks - 1; b >= 0; b-- {
@@ -121,23 +112,6 @@ func (f *FTL) WriteAmplification() float64 {
 	return float64(f.hostWrites+f.gcWrites) / float64(f.hostWrites)
 }
 
-// SetColdBoundary declares that LPNs at or above boundary belong to the
-// cold stream (the staging region). Pass LogicalPages() to disable.
-func (f *FTL) SetColdBoundary(boundary int) {
-	if boundary < 0 || boundary > len(f.l2p) {
-		panic(fmt.Sprintf("flash: cold boundary %d out of range", boundary))
-	}
-	f.coldStart = boundary
-}
-
-// streamOf returns the write stream for a logical page.
-func (f *FTL) streamOf(lpn int) int {
-	if lpn >= f.coldStart {
-		return 1
-	}
-	return 0
-}
-
 // Lookup returns the physical page holding logical page lpn, or -1 when the
 // page has never been written.
 func (f *FTL) Lookup(lpn int) int {
@@ -154,8 +128,7 @@ func (f *FTL) Lookup(lpn int) int {
 func (f *FTL) Write(lpn int) int {
 	f.checkLPN(lpn)
 	f.invalidate(lpn)
-	stream := f.streamOf(lpn)
-	ppn := f.allocate(stream, f.pickWriteChannel(stream))
+	ppn := f.allocate(f.pickWriteChannel())
 	f.l2p[lpn] = int32(ppn)
 	f.p2l[ppn] = int32(lpn)
 	f.blocks[f.geom.PageBlock(ppn)].validPages++
@@ -191,29 +164,29 @@ func (f *FTL) invalidate(lpn int) {
 // pickWriteChannel advances the round-robin cursor, skipping channels with
 // no room at all (every block full and no free block). If every channel is
 // exhausted it panics: GC must run before that point.
-func (f *FTL) pickWriteChannel(stream int) int {
+func (f *FTL) pickWriteChannel() int {
 	for i := 0; i < f.geom.Channels; i++ {
 		c := f.nextChan
 		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		if f.channelHasRoom(stream, c) {
+		if f.channelHasRoom(c) {
 			return c
 		}
 	}
 	panic("flash: device out of space on every channel; GC was not run")
 }
 
-func (f *FTL) channelHasRoom(stream, c int) bool {
+func (f *FTL) channelHasRoom(c int) bool {
 	if len(f.freeByChan[c]) > 0 {
 		return true
 	}
-	ab := f.activeBlock[stream][c]
+	ab := f.activeBlock[c]
 	return ab >= 0 && f.blocks[ab].writePtr < int32(f.geom.PagesPerBlock)
 }
 
-// allocate returns the next physical page on channel c in the given
-// stream, opening a fresh active block when the current one fills.
-func (f *FTL) allocate(stream, c int) int {
-	ab := f.activeBlock[stream][c]
+// allocate returns the next physical page on channel c, opening a fresh
+// active block when the current one fills.
+func (f *FTL) allocate(c int) int {
+	ab := f.activeBlock[c]
 	if ab < 0 || f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
 		if ab >= 0 {
 			f.blocks[ab].state = blockFull
@@ -227,7 +200,7 @@ func (f *FTL) allocate(stream, c int) int {
 		f.freeBlocks--
 		f.blocks[ab].state = blockActive
 		f.blocks[ab].writePtr = 0
-		f.activeBlock[stream][c] = ab
+		f.activeBlock[c] = ab
 	}
 	ppn := ab*f.geom.PagesPerBlock + int(f.blocks[ab].writePtr)
 	f.blocks[ab].writePtr++

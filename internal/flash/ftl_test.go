@@ -359,3 +359,34 @@ func BenchmarkFTLRandomOverwriteWithGC(b *testing.B) {
 	}
 	b.ReportMetric(f.WriteAmplification(), "write-amp")
 }
+
+// TestOneActiveBlockPerChannel pins the single write stream: host writes
+// and GC relocations share one active block per channel, so no channel
+// ever has two blocks open for programming.
+func TestOneActiveBlockPerChannel(t *testing.T) {
+	g := testGeom()
+	f := mustFTL(t, g)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 20000; i++ {
+		f.Write(rng.Intn(g.LogicalPages()))
+		if f.NeedGC(2) {
+			f.CollectUntil(6, 0)
+		}
+		if i%500 != 0 {
+			continue
+		}
+		open := make([]int, g.Channels)
+		for b := range f.blocks {
+			if f.blocks[b].state != blockActive {
+				continue
+			}
+			c := g.BlockChannel(b)
+			if open[c]++; open[c] > 1 {
+				t.Fatalf("write %d: channel %d has %d active blocks", i, c, open[c])
+			}
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

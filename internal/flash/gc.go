@@ -102,7 +102,7 @@ func (f *FTL) collectBlock(b int, programs []int32) VictimPlan {
 		}
 		preferred := f.nextChan
 		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		to, toChan := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
+		to, toChan := f.allocateForGC(preferred, b)
 		// Relocate the mapping.
 		f.p2l[from] = unmapped
 		f.blocks[b].validPages--
@@ -118,10 +118,8 @@ func (f *FTL) collectBlock(b int, programs []int32) VictimPlan {
 	f.blocks[b].writePtr = 0
 	f.blocks[b].eraseCount++
 	f.erases++
-	for st := 0; st < 2; st++ {
-		if f.activeBlock[st][vp.Channel] == b {
-			f.activeBlock[st][vp.Channel] = -1
-		}
+	if f.activeBlock[vp.Channel] == b {
+		f.activeBlock[vp.Channel] = -1
 	}
 	f.freeByChan[vp.Channel] = append(f.freeByChan[vp.Channel], b)
 	f.freeBlocks++
@@ -132,33 +130,33 @@ func (f *FTL) collectBlock(b int, programs []int32) VictimPlan {
 // victim's own channel and spilling to other channels when it is full. The
 // victim block itself is excluded as a destination (it is about to be
 // erased). It returns the page and its channel.
-func (f *FTL) allocateForGC(stream, preferred, victim int) (int, int) {
-	if f.channelHasRoomExcluding(stream, preferred, victim) {
-		return f.allocateExcluding(stream, preferred, victim), preferred
+func (f *FTL) allocateForGC(preferred, victim int) (int, int) {
+	if f.channelHasRoomExcluding(preferred, victim) {
+		return f.allocateExcluding(preferred, victim), preferred
 	}
 	for i := 1; i < f.geom.Channels; i++ {
 		c := (preferred + i) % f.geom.Channels
-		if f.channelHasRoomExcluding(stream, c, victim) {
-			return f.allocateExcluding(stream, c, victim), c
+		if f.channelHasRoomExcluding(c, victim) {
+			return f.allocateExcluding(c, victim), c
 		}
 	}
 	panic("flash: no room anywhere for GC relocation; over-provisioning too small")
 }
 
-func (f *FTL) channelHasRoomExcluding(stream, c, victim int) bool {
+func (f *FTL) channelHasRoomExcluding(c, victim int) bool {
 	for _, b := range f.freeByChan[c] {
 		if b != victim {
 			return true
 		}
 	}
-	ab := f.activeBlock[stream][c]
+	ab := f.activeBlock[c]
 	return ab >= 0 && ab != victim && f.blocks[ab].writePtr < int32(f.geom.PagesPerBlock)
 }
 
 // allocateExcluding is allocate but will never open the excluded block as
 // the active block.
-func (f *FTL) allocateExcluding(stream, c, excluded int) int {
-	ab := f.activeBlock[stream][c]
+func (f *FTL) allocateExcluding(c, excluded int) int {
+	ab := f.activeBlock[c]
 	if ab < 0 || ab == excluded || f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
 		if ab >= 0 && f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
 			f.blocks[ab].state = blockFull
@@ -178,7 +176,7 @@ func (f *FTL) allocateExcluding(stream, c, excluded int) int {
 		f.freeBlocks--
 		f.blocks[nb].state = blockActive
 		f.blocks[nb].writePtr = 0
-		f.activeBlock[stream][c] = nb
+		f.activeBlock[c] = nb
 		ab = nb
 	}
 	ppn := ab*f.geom.PagesPerBlock + int(f.blocks[ab].writePtr)

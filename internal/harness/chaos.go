@@ -19,7 +19,6 @@ type chaosScenario struct {
 	name   string
 	faults []cluster.ArrayFault
 	plan   cluster.ChaosPlan
-	migs   []cluster.Migration
 }
 
 // chaosScenarios are the three adversity regimes:
@@ -75,7 +74,6 @@ func chaosConfig(o Options, sc chaosScenario, replicate bool) cluster.Config {
 		// restore redundancy without flooding the spare array.
 		RereplicateMBps: 50,
 		ArrayFaults:     sc.faults,
-		Migrations:      sc.migs,
 		Chaos:           sc.plan,
 	}
 }

@@ -278,6 +278,12 @@ func TestFig8Runs(t *testing.T) {
 			}
 		}
 	}
+	// Fig 8 shape (EXPERIMENTS.md): more members mean more parallelism and
+	// fewer writes, hence fewer GC episodes, per member, so GC-Steering's
+	// response time drops. 0.776 at seed 0.
+	if gm := g.GeoMeanNormalized("5 SSDs")["7 SSDs"]; gm >= 1 {
+		t.Fatalf("7 SSDs geomean %.3f of 5 SSDs, want < 1 (7 SSDs decreases)", gm)
+	}
 }
 
 func TestFig9Runs(t *testing.T) {

@@ -532,22 +532,6 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 	must(a.disks[op.Disk].Read(now, op.Page, op.Pages, cb))
 }
 
-// barrier returns a completion callback that fires done after n calls,
-// passing the latest completion time. With done == nil it returns nil.
-func barrier(n int, done func(now sim.Time)) func(now sim.Time) {
-	if done == nil {
-		return nil
-	}
-	remain := n
-	//lint:allow hotalloc sanctioned one-closure-per-request fan-in barrier (PR 7); the free-list and scratch design budgets exactly this
-	return func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
-	}
-}
-
 // readError consults the member's fault hook (if any) for a latent sector
 // error on [page, page+pages).
 func (a *Array) readError(now sim.Time, d, page, pages int) bool {
@@ -889,7 +873,7 @@ func (a *Array) issueHedge(now sim.Time, h hedge, tok *Cancel, done func(now sim
 		}
 	}
 	a.issue(now, h.direct, tok, settle(false))
-	reconDone := barrier(len(h.recon), settle(true))
+	reconDone := sim.Barrier(len(h.recon), settle(true))
 	for _, op := range h.recon {
 		a.issue(now, op, tok, reconDone)
 	}
@@ -1156,7 +1140,7 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 			return
 		}
 		//lint:allow hotalloc phase-2 kick closure on the opt-in journal path (a.Intents != nil)
-		cb := barrier(len(phase1), func(t sim.Time) { a.issuePhase2Journal(t, phase2, tok, done, it) })
+		cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2Journal(t, phase2, tok, done, it) })
 		for _, op := range phase1 {
 			a.issue(now, op, tok, cb)
 		}
@@ -1171,7 +1155,7 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 		return
 	}
 	//lint:allow hotalloc sanctioned phase-2 kick: one deferred closure per partial-stripe write (PR 7)
-	cb := barrier(len(phase1), func(t sim.Time) { a.issuePhase2(t, phase2, tok, done) })
+	cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2(t, phase2, tok, done) })
 	for _, op := range phase1 {
 		a.issue(now, op, tok, cb)
 	}
@@ -1190,7 +1174,7 @@ func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, tok *Cancel, done func(n
 		}
 		return
 	}
-	cb := barrier(len(phase2), done)
+	cb := sim.Barrier(len(phase2), done)
 	for _, op := range phase2 {
 		a.issue(t, op, tok, cb)
 	}

@@ -166,7 +166,7 @@ func (a *Array) issuePhase2Journal(t sim.Time, phase2 []SubOp, tok *Cancel, done
 		}
 		return
 	}
-	cb := barrier(len(phase2), done)
+	cb := sim.Barrier(len(phase2), done)
 	for li, op := range phase2 {
 		leg := &it.legs[li]
 		a.issue(t, op, tok, func(tt sim.Time) {

@@ -174,3 +174,26 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // RunFor executes events for d nanoseconds of simulated time from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
+
+// Barrier returns a completion callback that fires done after n calls,
+// passing the time of the last one: the fan-in of n parallel ops. With
+// done == nil it returns nil, so fire-and-forget fan-outs allocate nothing.
+//
+// A hot-path root of its own: the array and the steering router call it
+// once per fanned-out request, and marking it keeps its one sanctioned
+// allocation checked even when gcsvet loads this package alone.
+//
+//gcsvet:hot
+func Barrier(n int, done func(now Time)) func(now Time) {
+	if done == nil {
+		return nil
+	}
+	remain := n
+	//lint:allow hotalloc sanctioned fan-in barrier: one closure per fanned-out request, budgeted by the free-list and scratch design
+	return func(t Time) {
+		remain--
+		if remain == 0 {
+			done(t)
+		}
+	}
+}

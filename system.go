@@ -159,9 +159,6 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.ColdStreamStaging {
-			d.SetColdBoundary(cfg.diskPages()) // reserved region on a separate stream
-		}
 		d.Trace = cfg.Trace
 		//lint:allow nodeterm per-device prefill stream seeded from the root stream, stable in loop order
 		d.Prefill(rand.New(rand.NewSource(rng.Int63())), prefillOverwrite, cfg.diskPages())
@@ -195,19 +192,9 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := core.New(s.eng, arr, staging, core.Config{
-			HotFrac:         cfg.HotFrac,
-			MigrateHotReads: cfg.MigrateHotReads,
-			ReclaimMerge:    cfg.ReclaimMerge,
-		})
-		if err != nil {
-			return nil, err
-		}
+		st := core.New(s.eng, arr, staging)
 		st.Trace = cfg.Trace
 		s.steer = st
-		if cfg.DisableGCAwareWrites {
-			arr.GCAwareWrites = false
-		}
 		s.hub.SubscribeEnd(func(now sim.Time, d *ssd.Device) { st.OnDeviceGCEnd(now, d.ID) })
 	default:
 		return nil, fmt.Errorf("gcsteering: unknown scheme %v", cfg.Scheme)
@@ -309,7 +296,6 @@ func (s *System) ensureSpare(seed int64) (*ssd.Device, error) {
 	}
 	// The spare starts fresh: it holds no host data until it is used as a
 	// staging space or a rebuild target.
-	spare.SetColdBoundary(0)
 	spare.Trace = s.trace
 	//lint:allow nodeterm spare prefill stream: seed is threaded in from the Config.Seed-derived root stream
 	spare.Prefill(rand.New(rand.NewSource(seed)), 0, 0)

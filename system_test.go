@@ -68,7 +68,6 @@ func TestConfigRejectsNaNFractions(t *testing.T) {
 		set   func(c *Config)
 	}{
 		{"ReservedFrac", func(c *Config) { c.ReservedFrac = math.NaN() }},
-		{"HotFrac", func(c *Config) { c.HotFrac = math.NaN() }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := smallConfig(SchemeSteering)
