@@ -134,13 +134,6 @@ type Config struct {
 	//gcsvet:inert
 	ScrubMBps float64
 
-	// DeadlineUs cancels a user request that has not completed within this
-	// many microseconds of simulated time: its queued sub-ops are absorbed
-	// on arrival at the array, the request is counted in
-	// Results.Robust.DeadlineExceeded, and its response time is recorded as
-	// the deadline. <= 0 disables deadlines.
-	//gcsvet:inert
-	DeadlineUs float64
 	// MaxRetries bounds re-issues of a read sub-op that hits a transient
 	// read error (FaultPlan.TransientReadErrorRate). 0 gives up on the
 	// first error (it is absorbed, not surfaced, mirroring drive-internal
@@ -222,10 +215,6 @@ type Config struct {
 	// needs its ground truth even when recovery may not use it).
 	//gcsvet:inert
 	IntentJournal bool
-	// ResyncMBps caps the post-crash resync read bandwidth (MB/s). <= 0
-	// defaults to 200 during power-loss runs and is ignored otherwise.
-	//gcsvet:inert
-	ResyncMBps float64
 }
 
 // DiskFault schedules one whole-device failure for fault-injected runs.
@@ -366,6 +355,8 @@ const (
 	// prefillOverwrite controls warm-up: after filling a member, this
 	// fraction of its pages is overwritten so steady-state GC has victims.
 	prefillOverwrite = 0.5
+	// resyncMBps caps the post-crash resync read bandwidth (MB/s).
+	resyncMBps = 200
 )
 
 // Validate reports configuration errors beyond what the subsystems check.
@@ -389,9 +380,6 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.ScrubMBps) {
 		return fmt.Errorf("gcsteering: ScrubMBps is NaN")
 	}
-	if math.IsNaN(c.DeadlineUs) || math.IsInf(c.DeadlineUs, 0) {
-		return fmt.Errorf("gcsteering: DeadlineUs %v not finite", c.DeadlineUs)
-	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("gcsteering: MaxRetries %d negative", c.MaxRetries)
 	}
@@ -400,9 +388,6 @@ func (c Config) Validate() error {
 	}
 	if math.IsNaN(c.PowerLossAtMs) || math.IsInf(c.PowerLossAtMs, 0) {
 		return fmt.Errorf("gcsteering: PowerLossAtMs %v not finite", c.PowerLossAtMs)
-	}
-	if math.IsNaN(c.ResyncMBps) || math.IsInf(c.ResyncMBps, 0) {
-		return fmt.Errorf("gcsteering: ResyncMBps %v not finite", c.ResyncMBps)
 	}
 	if c.PowerLossAtMs > 0 && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: PowerLossAtMs needs RAID5/6 parity (level %v)", c.Level)

@@ -105,7 +105,6 @@ func TestChaosRunDeterministicAcrossWorkers(t *testing.T) {
 			Tenants:         tinyTenants(4, 120),
 			ReplicateWrites: true,
 			ReplicaLinkUs:   40,
-			DeadlineMs:      15,
 			Chaos: ChaosPlan{
 				Seed:            11,
 				Crashes:         1,

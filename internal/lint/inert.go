@@ -146,8 +146,8 @@ type inertChecker struct {
 	decl   *ast.FuncDecl
 	fields map[string]bool
 	inObs  bool
-	// tainted marks locals derived from an inert field (deadline :=
-	// cfg.DeadlineUs * ...): testing such a local guards the field.
+	// tainted marks locals derived from an inert field (rate :=
+	// cfg.ScrubMBps * ...): testing such a local guards the field.
 	tainted map[types.Object]bool
 	// enabledLocal marks locals assigned from a Tracer.Enabled() call.
 	enabledLocal map[types.Object]bool

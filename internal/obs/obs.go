@@ -143,10 +143,6 @@ const (
 	// KReinstate is a breaker closing after a clean probe. dev = device,
 	// aux = total quarantined time this episode (ns).
 	KReinstate
-	// KDeadlineExceeded is a user request cancelled at its deadline before
-	// completion. page/pages = logical extent, aux = deadline (ns),
-	// aux2 = request sequence number.
-	KDeadlineExceeded
 	// KRetry is a transiently-failed read sub-op scheduled for another
 	// attempt. dev = disk, page/pages = extent, aux = attempt number (from
 	// 1), aux2 = backoff until the retry (ns).
@@ -185,13 +181,14 @@ const (
 	KClusterFailover
 	// KClusterArrayUp is a crashed array recovering. dev = array.
 	KClusterArrayUp
-	// KClusterCopyStart begins a background copy job (volume migration or
-	// re-replication). dev = destination array, aux = source array,
+	// KClusterCopyStart begins a background copy job (re-replication or
+	// failback). dev = destination array, aux = source array,
 	// aux2 = bytes to copy. note = volume key.
 	KClusterCopyStart
 	// KClusterCutover flips a volume's placement after its copy job
-	// drains. dev = destination array, aux = source array, aux2 = 0 for a
-	// migration, 1 for re-replication. note = volume key.
+	// drains, or back home when a recovered array had nothing to copy.
+	// dev = destination array, aux = source array, aux2 = 1. note =
+	// volume key.
 	KClusterCutover
 	// KClusterFailedReq is a request failed because its serving array is
 	// down. dev = down array, aux = tenant index, aux2 = request sequence.
@@ -258,7 +255,6 @@ var kindNames = [kindCount]string{
 	KQuarantine:       "quarantine",
 	KHealthProbe:      "health-probe",
 	KReinstate:        "reinstate",
-	KDeadlineExceeded: "deadline-exceeded",
 	KRetry:            "retry",
 	KRetryExhausted:   "retry-exhausted",
 	KReject:           "reject",

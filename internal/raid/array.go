@@ -14,22 +14,6 @@ import (
 // backlog.
 var ErrOverloaded = errors.New("raid: array overloaded")
 
-// Cancel is a request-scoped cancellation token. The facade arms one per
-// request when deadlines are enabled; sub-ops not yet issued when the
-// token fires (an RMW write phase, a retry) are absorbed instead of
-// touching the disks. A nil *Cancel is the never-cancelled token.
-type Cancel struct{ canceled bool }
-
-// Cancel marks the token cancelled. Nil-safe.
-func (c *Cancel) Cancel() {
-	if c != nil {
-		c.canceled = true
-	}
-}
-
-// Canceled reports whether the token has been cancelled. Nil-safe.
-func (c *Cancel) Canceled() bool { return c != nil && c.canceled }
-
 func boolInt(b bool) int64 {
 	if b {
 		return 1
@@ -171,7 +155,6 @@ type Stats struct {
 	TransientErrors  int64 // read sub-op attempts that failed transiently
 	Retries          int64 // retry attempts scheduled after a transient error
 	RetriesExhausted int64 // read sub-ops that gave up after MaxRetries
-	CanceledSubOps   int64 // sub-ops absorbed because their request's deadline passed
 }
 
 // Array is the timed RAID engine: it fans user requests out to member
@@ -426,18 +409,7 @@ func (a *Array) Alive(d int) bool { return a.alive(d) }
 func (a *Array) SpareRedundancy() int { return a.maxFailures() - len(a.failed) }
 
 // issue routes one sub-op to the member disk (or the Route hook).
-func (a *Array) issue(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Time)) {
-	if tok.Canceled() {
-		// The request's deadline passed while this op waited on an earlier
-		// phase (an RMW write phase behind its reads, a backed-off retry).
-		// It is absorbed exactly like a stale sub-op: completed immediately
-		// without touching the disk, so the enclosing barrier still settles.
-		a.stats.CanceledSubOps++
-		if done != nil {
-			a.eng.At(now, done)
-		}
-		return
-	}
+func (a *Array) issue(now sim.Time, op SubOp, done func(now sim.Time)) {
 	if !a.alive(op.Disk) {
 		// The disk failed after this op's plan was made (a failure injected
 		// between the read and write phases of an in-flight RMW). The write
@@ -466,7 +438,7 @@ func (a *Array) issue(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Tim
 	if op.Kind == OpDataWrite || op.Kind == OpParityWrite {
 		must(a.disks[op.Disk].Write(now, op.Page, op.Pages, done))
 	} else {
-		a.issueRead(now, op, tok, done, 0)
+		a.issueRead(now, op, done, 0)
 	}
 }
 
@@ -476,7 +448,7 @@ func (a *Array) issue(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Tim
 // reporting the timeout — so the retry is scheduled from the attempt's
 // completion instant. With no transient fault (the common case) this is
 // exactly the plain read issue: one disk call, no extra events.
-func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Time), attempt int) {
+func (a *Array) issueRead(now sim.Time, op SubOp, done func(now sim.Time), attempt int) {
 	td := a.caps[op.Disk].transient
 	if td == nil || !td.TransientReadError(now, op.Page, op.Pages) {
 		must(a.disks[op.Disk].Read(now, op.Page, op.Pages, done))
@@ -485,16 +457,14 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 	a.stats.TransientErrors++
 	//lint:allow hotalloc retry closure exists only after an injected transient fault fired, an opt-in fault-model feature
 	cb := func(t sim.Time) {
-		if attempt >= a.MaxRetries || tok.Canceled() {
-			// Out of budget (or the request no longer cares): deliver the
-			// attempt as a completed, slow read. Persistent-error recovery
-			// (the URE path) was already consulted before the fan-out.
-			if attempt >= a.MaxRetries {
-				a.stats.RetriesExhausted++
-				if a.Trace.Enabled() {
-					a.Trace.Emit(t, obs.Event{Kind: obs.KRetryExhausted, Dev: int32(op.Disk),
-						Page: int64(op.Page), Pages: int32(op.Pages), Aux: int64(attempt + 1)})
-				}
+		if attempt >= a.MaxRetries {
+			// Out of budget: deliver the attempt as a completed, slow read.
+			// Persistent-error recovery (the URE path) was already consulted
+			// before the fan-out.
+			a.stats.RetriesExhausted++
+			if a.Trace.Enabled() {
+				a.Trace.Emit(t, obs.Event{Kind: obs.KRetryExhausted, Dev: int32(op.Disk),
+					Page: int64(op.Page), Pages: int32(op.Pages), Aux: int64(attempt + 1)})
 			}
 			if done != nil {
 				done(t)
@@ -510,13 +480,6 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 		}
 		//lint:allow hotalloc backoff re-issue closure, same opt-in transient-fault path as the retry closure above
 		a.eng.At(t+backoff, func(t2 sim.Time) {
-			if tok.Canceled() {
-				a.stats.CanceledSubOps++
-				if done != nil {
-					done(t2)
-				}
-				return
-			}
 			if !a.alive(op.Disk) {
 				a.stats.StaleSubOps++
 				if done != nil {
@@ -524,7 +487,7 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 				}
 				return
 			}
-			a.issueRead(t2, op, tok, done, attempt+1)
+			a.issueRead(t2, op, done, attempt+1)
 		})
 	}
 	// The failed attempt needs a completion event to drive the retry even
@@ -674,20 +637,14 @@ func (a *Array) UnderPressure() bool {
 
 // Read services a user read of pages logical pages starting at page. done,
 // if non-nil, fires when the last byte is available. A malformed range is
-// returned as an error; nothing is issued.
+// returned as an error; nothing is issued. It returns ErrOverloaded when
+// admission control refuses the request.
 //
 // Read is a gcsvet hot-path root: it runs once per request, and hotalloc
 // holds it and everything it reaches allocation-free.
 //
 //gcsvet:hot
 func (a *Array) Read(now sim.Time, page, pages int, done func(now sim.Time)) error {
-	return a.ReadCancelable(now, page, pages, nil, done)
-}
-
-// ReadCancelable is Read with a cancellation token: sub-ops not yet issued
-// when tok fires (backed-off retries) are absorbed. It returns
-// ErrOverloaded when admission control refuses the request.
-func (a *Array) ReadCancelable(now sim.Time, page, pages int, tok *Cancel, done func(now sim.Time)) error {
 	exts, err := a.lay.SplitExtentAppend(a.extScratch[:0], page, pages)
 	if err != nil {
 		return err
@@ -834,10 +791,10 @@ func (a *Array) ReadCancelable(now sim.Time, page, pages int, tok *Cancel, done 
 	}
 	cb := a.releaseBarrier(len(items)+len(hedges), done)
 	for _, op := range items {
-		a.issue(now, op, tok, cb)
+		a.issue(now, op, cb)
 	}
 	for _, h := range hedges {
-		a.issueHedge(now, h, tok, cb)
+		a.issueHedge(now, h, cb)
 	}
 	a.itemScratch, a.hedgeScratch = items[:0], hedges[:0]
 	return nil
@@ -849,7 +806,7 @@ func (a *Array) ReadCancelable(now sim.Time, page, pages int, tok *Cancel, done 
 // still consume channel time. The direct leg is issued first, so a tie
 // deterministically resolves to it (the engine runs same-instant events in
 // scheduling order).
-func (a *Array) issueHedge(now sim.Time, h hedge, tok *Cancel, done func(now sim.Time)) {
+func (a *Array) issueHedge(now sim.Time, h hedge, done func(now sim.Time)) {
 	settled := false
 	//lint:allow hotalloc hedge settle factory runs only when HedgedReads is enabled and a member is in GC
 	settle := func(reconWon bool) func(t sim.Time) {
@@ -872,10 +829,10 @@ func (a *Array) issueHedge(now sim.Time, h hedge, tok *Cancel, done func(now sim
 			}
 		}
 	}
-	a.issue(now, h.direct, tok, settle(false))
+	a.issue(now, h.direct, settle(false))
 	reconDone := sim.Barrier(len(h.recon), settle(true))
 	for _, op := range h.recon {
-		a.issue(now, op, tok, reconDone)
+		a.issue(now, op, reconDone)
 	}
 }
 
@@ -921,7 +878,7 @@ func (a *Array) pickMirror(now sim.Time) int {
 
 // stripeGroup is the portion of a write touching one stripe. exts is a
 // subslice of the request's extent list, valid only until the enclosing
-// WriteCancelable returns (writeStripe consumes it synchronously).
+// Write returns (writeStripe consumes it synchronously).
 type stripeGroup struct {
 	stripe int
 	exts   []Extent
@@ -931,21 +888,14 @@ type stripeGroup struct {
 // without a read phase; partial stripes use two-phase read-modify-write
 // (or reconstruct-write when degraded), with phase 2 starting only after
 // every phase-1 read has completed — matching the dependency structure of
-// a real RAID controller.
+// a real RAID controller. It returns ErrOverloaded when admission control
+// refuses the request.
 //
 // Write is a gcsvet hot-path root: it runs once per request, and hotalloc
 // holds it and everything it reaches allocation-free.
 //
 //gcsvet:hot
 func (a *Array) Write(now sim.Time, page, pages int, done func(now sim.Time)) error {
-	return a.WriteCancelable(now, page, pages, nil, done)
-}
-
-// WriteCancelable is Write with a cancellation token: sub-ops not yet
-// issued when tok fires (the RMW write phase behind its reads) are
-// absorbed the way stale sub-ops are. It returns ErrOverloaded when
-// admission control refuses the request.
-func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done func(now sim.Time)) error {
 	exts, err := a.lay.SplitExtentAppend(a.extScratch[:0], page, pages)
 	if err != nil {
 		return err
@@ -960,7 +910,7 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 	case RAID0:
 		cb := a.releaseBarrier(len(exts), done)
 		for _, e := range exts {
-			a.issue(now, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, tok, cb)
+			a.issue(now, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, cb)
 		}
 		return nil
 	case RAID1:
@@ -974,7 +924,7 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 		for _, e := range exts {
 			for d := 0; d < a.lay.Disks; d++ {
 				if a.alive(d) {
-					a.issue(now, SubOp{Disk: d, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, tok, cb)
+					a.issue(now, SubOp{Disk: d, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, cb)
 				}
 			}
 		}
@@ -994,14 +944,14 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 	}
 	cb := a.releaseBarrier(len(groups), done)
 	for _, g := range groups {
-		a.writeStripe(now, g, tok, cb)
+		a.writeStripe(now, g, cb)
 	}
 	a.groupScratch = groups[:0]
 	return nil
 }
 
 // writeStripe performs the write of one stripe's worth of extents.
-func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(now sim.Time)) {
+func (a *Array) writeStripe(now sim.Time, g stripeGroup, done func(now sim.Time)) {
 	lay := a.lay
 	st := g.stripe
 	base := lay.UnitPage(st)
@@ -1136,13 +1086,13 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 				Aux: int64(st), Aux2: int64(len(phase2))})
 		}
 		if len(phase1) == 0 {
-			a.issuePhase2Journal(now, phase2, tok, done, it)
+			a.issuePhase2Journal(now, phase2, done, it)
 			return
 		}
 		//lint:allow hotalloc phase-2 kick closure on the opt-in journal path (a.Intents != nil)
-		cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2Journal(t, phase2, tok, done, it) })
+		cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2Journal(t, phase2, done, it) })
 		for _, op := range phase1 {
-			a.issue(now, op, tok, cb)
+			a.issue(now, op, cb)
 		}
 		a.phase1Scratch = phase1[:0]
 		return
@@ -1151,13 +1101,13 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 	if len(phase1) == 0 {
 		// No read phase (full-stripe write, or nothing readable): the write
 		// phase starts now, with no deferred closure needed.
-		a.issuePhase2(now, phase2, tok, done)
+		a.issuePhase2(now, phase2, done)
 		return
 	}
 	//lint:allow hotalloc sanctioned phase-2 kick: one deferred closure per partial-stripe write (PR 7)
-	cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2(t, phase2, tok, done) })
+	cb := sim.Barrier(len(phase1), func(t sim.Time) { a.issuePhase2(t, phase2, done) })
 	for _, op := range phase1 {
-		a.issue(now, op, tok, cb)
+		a.issue(now, op, cb)
 	}
 	a.phase1Scratch = phase1[:0]
 }
@@ -1166,7 +1116,7 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 // sub-op list to the free list. With an empty list — every target (data
 // and parity) is on the failed disk — the write completes trivially (data
 // is lost only if redundancy is already gone, which FailDisk prevents).
-func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, tok *Cancel, done func(now sim.Time)) {
+func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, done func(now sim.Time)) {
 	if len(phase2) == 0 {
 		a.putSubOps(phase2)
 		if done != nil {
@@ -1176,7 +1126,7 @@ func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, tok *Cancel, done func(n
 	}
 	cb := sim.Barrier(len(phase2), done)
 	for _, op := range phase2 {
-		a.issue(t, op, tok, cb)
+		a.issue(t, op, cb)
 	}
 	a.putSubOps(phase2)
 }

@@ -430,87 +430,3 @@ func TestRequestRangeErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestCancelMidRMWAbsorbsWritePhase pins the deadline-cancellation
-// contract: a token cancelled between an RMW's read and write phases must
-// absorb the pending write sub-ops — counted, no disk touched — while the
-// enclosing barrier still settles so the request's completion fires exactly
-// once and nothing leaks.
-func TestCancelMidRMWAbsorbsWritePhase(t *testing.T) {
-	eng, a, fakes := newFakeArray(t, raid5Layout())
-	tok := &Cancel{}
-	completions := 0
-	var doneAt sim.Time
-	if err := a.WriteCancelable(0, 0, 1, tok, func(tm sim.Time) { completions++; doneAt = tm }); err != nil {
-		t.Fatal(err)
-	}
-	// Phase 1 reads complete at t=10; cancel strictly before that so the
-	// write phase finds the token dead.
-	eng.At(5, func(sim.Time) { tok.Cancel() })
-	eng.Run()
-	if completions != 1 {
-		t.Fatalf("done fired %d times, want exactly 1", completions)
-	}
-	if doneAt != 10 {
-		t.Fatalf("absorbed write phase settled at %v, want 10 (the read-phase completion)", doneAt)
-	}
-	var writes int
-	for _, f := range fakes {
-		writes += len(f.writes)
-	}
-	if writes != 0 {
-		t.Fatalf("%d writes reached disks after cancellation", writes)
-	}
-	st := a.Stats()
-	if st.CanceledSubOps != 2 {
-		t.Fatalf("CanceledSubOps = %d, want 2 (new data + new parity)", st.CanceledSubOps)
-	}
-	if st.StaleSubOps != 0 {
-		t.Fatalf("cancellation miscounted as stale: %+v", st)
-	}
-}
-
-// TestCancelBeforeIssueAbsorbsEverything covers the fan-out guard: a
-// request whose token is already dead at issue time touches no disk at all,
-// for both reads and writes, and still completes its callback.
-func TestCancelBeforeIssueAbsorbsEverything(t *testing.T) {
-	eng, a, fakes := newFakeArray(t, raid5Layout())
-	tok := &Cancel{}
-	tok.Cancel()
-	completions := 0
-	if err := a.WriteCancelable(0, 0, 1, tok, func(sim.Time) { completions++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ReadCancelable(0, 0, 4, tok, func(sim.Time) { completions++ }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if completions != 2 {
-		t.Fatalf("completions = %d, want 2", completions)
-	}
-	for d, f := range fakes {
-		if len(f.reads) != 0 || len(f.writes) != 0 {
-			t.Fatalf("disk %d touched by a dead request: reads=%d writes=%d", d, len(f.reads), len(f.writes))
-		}
-	}
-	if st := a.Stats(); st.CanceledSubOps == 0 {
-		t.Fatalf("no canceled sub-ops counted: %+v", st)
-	}
-}
-
-// TestNilCancelTokenIsInert pins the zero-cost path: passing a nil token
-// must behave exactly like the plain Read/Write entry points.
-func TestNilCancelTokenIsInert(t *testing.T) {
-	eng, a, _ := newFakeArray(t, raid5Layout())
-	var doneAt sim.Time
-	if err := a.WriteCancelable(0, 0, 1, nil, func(tm sim.Time) { doneAt = tm }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if doneAt != 110 {
-		t.Fatalf("RMW with nil token finished at %v, want 110", doneAt)
-	}
-	if st := a.Stats(); st.CanceledSubOps != 0 {
-		t.Fatalf("nil token produced cancellations: %+v", st)
-	}
-}

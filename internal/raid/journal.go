@@ -157,7 +157,7 @@ func (a *Array) journalClear(it *intent, done func(now sim.Time)) func(now sim.T
 // gcsvet: opt-in journal path (a.Intents != nil), cold for hotalloc.
 //
 //gcsvet:cold
-func (a *Array) issuePhase2Journal(t sim.Time, phase2 []SubOp, tok *Cancel, done func(now sim.Time), it *intent) {
+func (a *Array) issuePhase2Journal(t sim.Time, phase2 []SubOp, done func(now sim.Time), it *intent) {
 	it.issued = true
 	if len(phase2) == 0 {
 		a.putSubOps(phase2)
@@ -169,7 +169,7 @@ func (a *Array) issuePhase2Journal(t sim.Time, phase2 []SubOp, tok *Cancel, done
 	cb := sim.Barrier(len(phase2), done)
 	for li, op := range phase2 {
 		leg := &it.legs[li]
-		a.issue(t, op, tok, func(tt sim.Time) {
+		a.issue(t, op, func(tt sim.Time) {
 			leg.done = true
 			it.done++
 			cb(tt)

@@ -222,10 +222,6 @@ func (s *System) replayPowerLoss(tr Trace) (*Results, error) {
 			stripes[i] = i
 		}
 	}
-	mbps := cfg.ResyncMBps
-	if mbps <= 0 {
-		mbps = 200
-	}
 	var rs *scrub.Resyncer
 	resync := func() error {
 		// The torn pages become CRC-failing defects. With a fault plan the
@@ -241,7 +237,7 @@ func (s *System) replayPowerLoss(tr Trace) (*Results, error) {
 			injs[d].Tear(pages)
 		}
 		var err error
-		rs, err = scrub.NewResync(b.eng, b.arr, mbps, cfg.Flash.PageSize, stripes)
+		rs, err = scrub.NewResync(b.eng, b.arr, resyncMBps, cfg.Flash.PageSize, stripes)
 		if err != nil {
 			return err
 		}

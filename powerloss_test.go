@@ -151,13 +151,12 @@ func TestPowerLossDeterministic(t *testing.T) {
 }
 
 // TestPowerLossKnobsInert pins the zero-cost guarantee: with PowerLossAtMs
-// unset, the crash-consistency knobs change nothing — the trace is byte
-// identical to a run without them.
+// unset, IntentJournal changes nothing — the trace is byte identical to a
+// run without it.
 func TestPowerLossKnobsInert(t *testing.T) {
-	run := func(journal bool, resync float64) string {
+	run := func(journal bool) string {
 		cfg := smallConfig(SchemeLGC)
 		cfg.IntentJournal = journal
-		cfg.ResyncMBps = resync
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 800)
@@ -169,9 +168,8 @@ func TestPowerLossKnobsInert(t *testing.T) {
 		}
 		return buf.String()
 	}
-	base := run(false, 0)
-	if withKnobs := run(true, 500); withKnobs != base {
-		t.Fatal("IntentJournal/ResyncMBps changed the trace without a power loss")
+	if run(true) != run(false) {
+		t.Fatal("IntentJournal changed the trace without a power loss")
 	}
 }
 

@@ -53,7 +53,7 @@ type Results struct {
 	// (all zero unless Config.Checksums / Config.HedgedReads enabled them).
 	Integrity IntegrityStats
 
-	// Robust carries the fail-slow tolerance counters: deadlines, retries,
+	// Robust carries the fail-slow tolerance counters: retries,
 	// admission control, and health quarantines (all zero unless the
 	// corresponding Config knobs enabled them).
 	Robust RobustStats
@@ -187,13 +187,9 @@ type IntegrityStats struct {
 }
 
 // RobustStats aggregates the fail-slow tolerance counters of one run: what
-// the deadlines, retries, admission control, and health monitor
-// (Config.DeadlineUs / MaxRetries / QueueLimit / Quarantine) did.
+// the retries, admission control, and health monitor
+// (Config.MaxRetries / QueueLimit / Quarantine) did.
 type RobustStats struct {
-	// DeadlineExceeded counts user requests cancelled at their deadline;
-	// CanceledSubOps the queued sub-ops the array absorbed for them.
-	DeadlineExceeded int64
-	CanceledSubOps   int64
 	// Rejected counts user requests refused by admission control.
 	Rejected int64
 	// TransientErrors counts read attempts that failed transiently; Retries
@@ -307,8 +303,6 @@ func (s *System) results() *Results {
 	}
 	as := s.arr.Stats()
 	r.Robust = RobustStats{
-		DeadlineExceeded: s.deadlineHits,
-		CanceledSubOps:   as.CanceledSubOps,
 		Rejected:         s.rejected,
 		TransientErrors:  as.TransientErrors,
 		Retries:          as.Retries,
@@ -388,8 +382,8 @@ func (r *Results) String() string {
 	if r.Integrity.HedgedReads > 0 {
 		fmt.Fprintf(&b, " hedged=%d wins=%d", r.Integrity.HedgedReads, r.Integrity.HedgeReconWins)
 	}
-	if r.Robust.DeadlineExceeded > 0 || r.Robust.Rejected > 0 {
-		fmt.Fprintf(&b, " deadline=%d rejected=%d", r.Robust.DeadlineExceeded, r.Robust.Rejected)
+	if r.Robust.Rejected > 0 {
+		fmt.Fprintf(&b, " rejected=%d", r.Robust.Rejected)
 	}
 	if r.Robust.TransientErrors > 0 {
 		fmt.Fprintf(&b, " transient=%d retries=%d exhausted=%d",

@@ -103,8 +103,7 @@ type System struct {
 	// its recorded response time.
 	arrivalLag int64
 
-	deadlineHits int64 // requests cancelled at their deadline
-	rejected     int64 // requests refused by admission control
+	rejected int64 // requests refused by admission control
 
 	faults   *fault.Controller // non-nil when Config.Fault is enabled
 	scrubber *scrub.Scrubber   // non-nil when Config.ScrubMBps > 0
@@ -113,7 +112,7 @@ type System struct {
 	busy     *busyLog          // non-nil when Config.RecordBusy
 
 	// onRequest, when set via ObserveRequests, fires once per submitted
-	// request as it settles (completes, hits its deadline, or is rejected).
+	// request as it settles (completes or is rejected).
 	onRequest func(seq int64, latNs int64, rejected bool)
 
 	// measuring gates response-time recording; ReplayDuringRebuild stops
@@ -353,18 +352,12 @@ func (s *System) submit(now sim.Time, r Record) {
 			Page: int64(page), Pages: int32(pages),
 			Aux: boolInt(r.Write), Aux2: seq})
 	}
-	// The settled flag arbitrates between normal completion and the
-	// deadline event (whichever fires first wins, the loser is a no-op).
-	// Settling itself is a method, not a nested closure, so the common
-	// no-deadline case allocates one callback per request instead of two.
+	// The array fires done exactly once per admitted request. Settling
+	// itself is a method, not a nested closure, so each request allocates
+	// one callback.
 	isWrite := r.Write
-	settled := false
 	lag := s.arrivalLag
 	done := func(t sim.Time) { //lint:allow hotalloc sanctioned one completion callback per request; see comment above
-		if settled {
-			return
-		}
-		settled = true
 		d := int64(t-now) + lag
 		if s.trace.Enabled() {
 			s.trace.Emit(t, obs.Event{Kind: obs.KComplete, Dev: -1, Page: -1,
@@ -372,39 +365,15 @@ func (s *System) submit(now sim.Time, r Record) {
 		}
 		s.settleRequest(now, seq, d, isWrite, record, degraded, inGC)
 	}
-	var tok *raid.Cancel
-	deadline := sim.Time(s.cfg.DeadlineUs * float64(sim.Microsecond))
-	if deadline > 0 {
-		//lint:allow hotalloc opt-in DeadlineUs path: token and timer exist only when deadlines are configured
-		tok = &raid.Cancel{}
-		//lint:allow hotalloc opt-in DeadlineUs path: one deadline timer per request is the feature's cost
-		s.eng.At(now+deadline, func(t sim.Time) {
-			if settled {
-				return
-			}
-			settled = true
-			tok.Cancel() // queued sub-ops (backed-off retries, RMW phases) absorb
-			s.deadlineHits++
-			if s.trace.Enabled() {
-				s.trace.Emit(t, obs.Event{Kind: obs.KDeadlineExceeded, Dev: -1,
-					Page: int64(page), Pages: int32(pages),
-					Aux: int64(deadline), Aux2: seq})
-			}
-			// The requester gave up at the deadline, so that is the
-			// user-visible response time.
-			s.settleRequest(now, seq, int64(deadline)+lag, isWrite, record, degraded, inGC)
-		})
-	}
 	var err error
 	if r.Write {
-		err = s.arr.WriteCancelable(now, page, pages, tok, done)
+		err = s.arr.Write(now, page, pages, done)
 	} else {
-		err = s.arr.ReadCancelable(now, page, pages, tok, done)
+		err = s.arr.Read(now, page, pages, done)
 	}
 	if errors.Is(err, raid.ErrOverloaded) {
 		// Admission control shed this request: no sub-ops were issued and
 		// done will never fire. Count it, don't record a response time.
-		settled = true
 		s.inFlight--
 		s.rejected++
 		if s.onRequest != nil {
@@ -813,11 +782,10 @@ func (s *System) Events() uint64 { return s.eng.Fired() }
 // settles: seq is the request's submission index (0-based, in trace
 // order; a power-loss replay keeps the trace numbering across the
 // remount, and requests lost in flight at the cut never settle), latNs
-// the user-visible response time in nanoseconds (the deadline for
-// deadline-cancelled requests), and rejected marks requests shed by
-// admission control (their latNs is 0). The cluster layer uses it to
-// attribute shard latencies back to tenants. Call before Replay; a nil fn
-// removes the hook.
+// the user-visible response time in nanoseconds, and rejected marks
+// requests shed by admission control (their latNs is 0). The cluster
+// layer uses it to attribute shard latencies back to tenants. Call before
+// Replay; a nil fn removes the hook.
 func (s *System) ObserveRequests(fn func(seq int64, latNs int64, rejected bool)) {
 	s.onRequest = fn
 }
