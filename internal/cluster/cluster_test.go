@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,23 +86,51 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	scale := func(v float64) func(*Config) {
+		return func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "Fin1", Requests: 1, ArrivalScale: v}} }
+	}
+	fault := func(f ArrayFault) func(*Config) {
+		return func(c *Config) { c.ArrayFaults = []ArrayFault{f} }
+	}
 	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		mut   func(*Config)
+		field string // when set, the error must name it
 	}{
-		{"one array", func(c *Config) { c.Arrays = 1 }},
-		{"zero arrays", func(c *Config) { c.Arrays = 0 }},
-		{"no tenants", func(c *Config) { c.Tenants = nil }},
-		{"bad profile", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "nope", Requests: 1}} }},
-		{"no requests", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "Fin1"}} }},
-		{"fault array range", func(c *Config) { c.FaultArrays = []int{9} }},
-		{"directory range", func(c *Config) { c.Directory = map[string]int{"x/0": -1} }},
+		{"one array", func(c *Config) { c.Arrays = 1 }, ""},
+		{"zero arrays", func(c *Config) { c.Arrays = 0 }, ""},
+		{"no tenants", func(c *Config) { c.Tenants = nil }, ""},
+		{"bad profile", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "nope", Requests: 1}} }, ""},
+		{"no requests", func(c *Config) { c.Tenants = []Tenant{{Name: "x", Profile: "Fin1"}} }, ""},
+		{"fault array range", func(c *Config) { c.FaultArrays = []int{9} }, ""},
+		{"directory range", func(c *Config) { c.Directory = map[string]int{"x/0": -1} }, ""},
+		{"fault AtMs NaN", fault(ArrayFault{Array: 1, AtMs: nan}), "AtMs"},
+		{"fault AtMs +Inf", fault(ArrayFault{Array: 1, AtMs: inf}), "AtMs"},
+		{"fault AtMs negative", fault(ArrayFault{Array: 1, AtMs: -1}), "AtMs"},
+		{"fault DowntimeMs NaN", fault(ArrayFault{Array: 1, AtMs: 10, DowntimeMs: nan}), "DowntimeMs"},
+		{"fault DowntimeMs +Inf", fault(ArrayFault{Array: 1, AtMs: 10, DowntimeMs: inf}), "DowntimeMs"},
+		{"fault DowntimeMs negative", fault(ArrayFault{Array: 1, AtMs: 10, DowntimeMs: -1}), "DowntimeMs"},
+		{"ArrivalScale NaN", scale(nan), "ArrivalScale"},
+		{"ArrivalScale +Inf", scale(inf), "ArrivalScale"},
+		{"ArrivalScale negative", scale(-1), "ArrivalScale"},
 	} {
 		c := good
 		tc.mut(&c)
-		if err := c.Validate(); err == nil {
+		err := c.Validate()
+		if err == nil {
 			t.Errorf("%s: validation passed", tc.name)
+			continue
 		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
+		}
+	}
+	// An ArrivalScale of 0 (the default, meaning 1) is accepted.
+	zero := good
+	zero.Tenants = []Tenant{{Name: "x", Profile: "Fin1", Requests: 1}}
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("ArrivalScale 0 rejected: %v", err)
 	}
 }
 
