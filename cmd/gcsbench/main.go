@@ -16,15 +16,6 @@
 // sequential per-scheme runs are separated by "run-start" events. -timeseries
 // <path> writes fig1's windowed latency/gauge time series as CSV, one
 // labelled block per scheme. Parallel grid experiments ignore both flags.
-//
-// The benchmark regression gate is a separate mode that runs no
-// experiments:
-//
-//	gcsbench -bench-compare old.json [-bench-tolerance 0.10] new.json
-//
-// compares two BENCH_*.json documents (see bench_emit_test.go) and exits
-// non-zero when events/sec fell or allocs/op rose by more than the
-// tolerance.
 package main
 
 import (
@@ -124,8 +115,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
 		tracePath  = fs.String("trace", "", "write the simulation event log (JSONL) of tracing-aware experiments (fig1) to this file")
 		seriesPath = fs.String("timeseries", "", "write the windowed latency time series (CSV) of tracing-aware experiments (fig1) to this file")
-		benchOld   = fs.String("bench-compare", "", "baseline BENCH_*.json: compare the BENCH_*.json named by the positional argument against it and exit non-zero on regression")
-		benchTol   = fs.Float64("bench-tolerance", 0.10, "allowed fractional regression per gated metric before -bench-compare fails")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -133,12 +122,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "gcsbench: "+format+"\n", args...)
 		return 1
-	}
-	if *benchOld != "" {
-		if fs.NArg() != 1 {
-			return fail("usage: gcsbench -bench-compare old.json new.json")
-		}
-		return runBenchCompare(*benchOld, fs.Arg(0), *benchTol, stdout, stderr)
 	}
 	if *listExps {
 		// Sorted, so the listing is stable as the registry grows (the run

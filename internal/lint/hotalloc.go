@@ -9,7 +9,7 @@ import (
 )
 
 // Hotalloc enforces the allocation-free hot path (PR 7's invariant,
-// measured by the bench gate) statically: a function reachable from a
+// counted by TestReplayAllocsExact) statically: a function reachable from a
 // //gcsvet:hot root through the CHA call graph may not contain
 // heap-allocating constructs. The scratch-buffer idioms the hot path is
 // built from are recognized as safe:

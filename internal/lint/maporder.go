@@ -51,6 +51,11 @@ func Maporder() *Analyzer {
 					return true
 				}
 				ast.Inspect(body, func(n ast.Node) bool {
+					// A nested literal's ranges belong to the literal's own
+					// body, which the outer walk visits separately.
+					if _, ok := n.(*ast.FuncLit); ok {
+						return false
+					}
 					rng, ok := n.(*ast.RangeStmt)
 					if !ok {
 						return true

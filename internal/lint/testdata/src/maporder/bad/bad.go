@@ -27,6 +27,19 @@ func sortedAppend(m map[string]int) []string {
 	return keys
 }
 
+// A range inside a function literal is reported once, from the literal's
+// own body, not again from the enclosing function's.
+func inLiteral(m map[string]int) []string {
+	var keys []string
+	collect := func() {
+		for k := range m {
+			keys = append(keys, k) // want "appends to keys in map-iteration order without a later sort"
+		}
+	}
+	collect()
+	return keys
+}
+
 func schedules(eng *sim.Engine, m map[int]sim.Time) {
 	for _, at := range m {
 		eng.At(at, func(sim.Time) {}) // want "schedules a sim event .*Engine.At.* in map-iteration order"

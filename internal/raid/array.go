@@ -606,8 +606,9 @@ func (a *Array) admitCheck(tracked bool) error {
 // releaseBarrier is the request-level completion barrier: after n calls it
 // returns the admission slot claimed by admitCheck and fires done. Folding
 // the release into the barrier closure costs one allocation per request
-// where a separate admit wrapper plus barrier used to cost two. With
-// done == nil it returns nil (untracked request, no slot to return).
+// where a separate admit wrapper plus barrier used to cost two. Like
+// sim.Barrier, call n+1 panics. With done == nil it returns nil (untracked
+// request, no slot to return).
 func (a *Array) releaseBarrier(n int, done func(now sim.Time)) func(now sim.Time) {
 	if done == nil {
 		return nil
@@ -617,6 +618,9 @@ func (a *Array) releaseBarrier(n int, done func(now sim.Time)) func(now sim.Time
 	return func(t sim.Time) {
 		remain--
 		if remain != 0 {
+			if remain < 0 {
+				panic("raid: request barrier called more than n times")
+			}
 			return
 		}
 		a.inflight--

@@ -66,6 +66,32 @@ func raid5Layout() Layout {
 	return Layout{Level: RAID5, Disks: 5, UnitPages: 16, DiskPages: 256}
 }
 
+// TestReleaseBarrierFiresOnceAndPanicsPastN pins the request barrier's
+// contract: n calls return the admission slot and fire done once, and call
+// n+1 panics instead of being absorbed.
+func TestReleaseBarrierFiresOnceAndPanicsPastN(t *testing.T) {
+	_, a, _ := newFakeArray(t, raid5Layout())
+	if err := a.admitCheck(true); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	cb := a.releaseBarrier(2, func(sim.Time) { fired++ })
+	cb(1)
+	if fired != 0 || a.Inflight() != 1 {
+		t.Fatalf("after 1 of 2 calls: fired %d, inflight %d; want 0, 1", fired, a.Inflight())
+	}
+	cb(2)
+	if fired != 1 || a.Inflight() != 0 {
+		t.Fatalf("after 2 of 2 calls: fired %d, inflight %d; want 1, 0", fired, a.Inflight())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("call n+1 did not panic")
+		}
+	}()
+	cb(3)
+}
+
 func TestNewArrayValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	lay := raid5Layout()

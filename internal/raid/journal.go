@@ -60,7 +60,7 @@ func (l *IntentLog) Open() int { return len(l.open) }
 // gcsvet: the intent journal is an opt-in crash-consistency feature
 // (reached only behind a.Intents != nil), so its per-write bookkeeping
 // is fenced off from hotalloc with //gcsvet:cold — the default config's
-// hot path never gets here, which is what the bench gate measures.
+// hot path never gets here, which is what TestReplayAllocsExact counts.
 //
 //gcsvet:cold
 func (l *IntentLog) mark(st int) *intent {

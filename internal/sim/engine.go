@@ -176,8 +176,10 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // Barrier returns a completion callback that fires done after n calls,
-// passing the time of the last one: the fan-in of n parallel ops. With
-// done == nil it returns nil, so fire-and-forget fan-outs allocate nothing.
+// passing the time of the last one: the fan-in of n parallel ops. Call
+// n+1 panics: a leg that completes twice would otherwise end the fan-in
+// before its siblings. With done == nil it returns nil, so fire-and-forget
+// fan-outs allocate nothing.
 //
 // A hot-path root of its own: the array and the steering router call it
 // once per fanned-out request, and marking it keeps its one sanctioned
@@ -192,8 +194,11 @@ func Barrier(n int, done func(now Time)) func(now Time) {
 	//lint:allow hotalloc sanctioned fan-in barrier: one closure per fanned-out request, budgeted by the free-list and scratch design
 	return func(t Time) {
 		remain--
-		if remain == 0 {
+		switch {
+		case remain == 0:
 			done(t)
+		case remain < 0:
+			panic("sim: Barrier called more than n times")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"gcsteering/internal/sim"
@@ -15,15 +16,14 @@ type Options struct {
 	// Capacity is the byte size of the target volume (the RAID array's
 	// logical capacity). Generated offsets stay inside it.
 	Capacity int64
-	// Scale multiplies the profile's Table I request count (use e.g. 0.01
-	// for quick runs). Values <= 0 default to 1.
-	Scale float64
-	// MaxRequests caps the emitted request count after scaling (0 = no cap).
+	// MaxRequests caps the emitted request count below the profile's
+	// Table I count (0 = no cap).
 	MaxRequests int
 	// Seed makes generation deterministic.
 	Seed int64
 	// ArrivalScale multiplies the profile's MeanIOPS (>1 compresses the
-	// trace in time, <1 stretches it). Values <= 0 default to 1. The
+	// trace in time, <1 stretches it). 0 means 1; NaN, ±Inf and negative
+	// values are rejected. The
 	// cluster layer uses it to give tenants sharing a profile distinct
 	// load levels.
 	ArrivalScale float64
@@ -70,14 +70,10 @@ func NewGenerator(p Profile, opt Options) (*Generator, error) {
 	if opt.Capacity < 1<<20 {
 		return nil, fmt.Errorf("workload: capacity %d too small", opt.Capacity)
 	}
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1
+	if a := opt.ArrivalScale; math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
+		return nil, fmt.Errorf("workload: ArrivalScale %v must be finite and non-negative", a)
 	}
-	total := int(float64(p.Requests) * scale)
-	if total < 1 {
-		total = 1
-	}
+	total := p.Requests
 	if opt.MaxRequests > 0 && total > opt.MaxRequests {
 		total = opt.MaxRequests
 	}

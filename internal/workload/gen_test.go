@@ -2,13 +2,14 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gcsteering/internal/trace"
 )
 
 func opts() Options {
-	return Options{Capacity: 4 << 30, Scale: 0.01, Seed: 42}
+	return Options{Capacity: 4 << 30, Seed: 42}
 }
 
 func TestProfilesCoverTableI(t *testing.T) {
@@ -72,6 +73,16 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(bad, opts()); err == nil {
 		t.Fatal("overlapping regions accepted")
 	}
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		o := opts()
+		o.ArrivalScale = a
+		if _, err := NewGenerator(p, o); err == nil || !strings.Contains(err.Error(), "ArrivalScale") {
+			t.Errorf("ArrivalScale %v: err %v, want an error naming ArrivalScale", a, err)
+		}
+	}
+	if _, err := NewGenerator(p, opts()); err != nil {
+		t.Fatalf("ArrivalScale 0 rejected: %v", err)
+	}
 }
 
 func TestGeneratedTraceMatchesProfile(t *testing.T) {
@@ -104,16 +115,17 @@ func TestGeneratedTraceMatchesProfile(t *testing.T) {
 	}
 }
 
+// TestScaleAndCap checks that a generator emits the profile's Table I
+// count when uncapped and exactly MaxRequests records when capped.
 func TestScaleAndCap(t *testing.T) {
 	p := All()[0]
 	o := opts()
-	o.Scale = 0.001
 	g, err := NewGenerator(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Total() != 500 {
-		t.Fatalf("Total = %d, want 500", g.Total())
+	if g.Total() != p.Requests {
+		t.Fatalf("Total = %d, want %d", g.Total(), p.Requests)
 	}
 	o.MaxRequests = 100
 	g, _ = NewGenerator(p, o)

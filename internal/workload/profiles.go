@@ -15,8 +15,8 @@ type Profile struct {
 	Name string
 	// ReadRatio is the fraction of requests that are reads (Table I).
 	ReadRatio float64
-	// Requests is the Table I request count; runs scale it down with the
-	// generator's Scale option.
+	// Requests is the Table I request count; runs cap it with the
+	// generator's MaxRequests option.
 	Requests int
 	// AvgReqKB is the mean request size in KiB (Table I).
 	AvgReqKB float64
